@@ -7,156 +7,42 @@ full-aperture Monte Carlo comparisons.
 """
 
 from .radar_model import (
-    BOLTZMANN,
     ControlPoint,
     Environment,
-    GridEvaluation,
     RadarConstants,
-    TaskEvaluation,
     UtilityShape,
-    alpha_factor,
-    beamwidth,
-    beta_factor,
-    clamp_snr,
-    cross_talk_loss,
-    db_to_linear,
-    derive_k_rad,
-    detection_probability,
     evaluate,
-    evaluate_grid,
-    expected_looks,
-    gamma_factor,
     linear_to_db,
-    quality,
-    resource,
-    snr0,
-    track_sharpness,
-    track_sharpness_batch,
-    utility,
 )
 from .qram import (
-    AllocationResult,
-    Assignment,
-    ConcaveMajorant,
     ControlGrid,
-    SetPoint,
-    TaskSetPoints,
     allocate,
-    allocate_many,
     brute_force_allocate,
     build_majorant,
     enumerate_setpoints,
-    fast_traversal_majorant,
 )
-from .scenario import (
-    TYPE_RANGES,
-    Scene,
-    SceneConfig,
-    TargetType,
-    TargetTypeRanges,
-    TrackingTask,
-    generate_scene,
-    normalize_weights,
-    scene_from_json,
-    scene_to_json,
-)
-from .experiment import (
-    AggregateMetrics,
-    CellStats,
-    RunMetrics,
-    RunRecord,
-    SweepConfig,
-    SweepResult,
-    aggregate_runs,
-    budget_sweep,
-    derive_run_seed,
-    element_histogram_report,
-    evaluate_scene,
-    read_run_csv,
-    read_runs,
-    run_once,
-    sweep,
-    write_sweep_outputs,
-)
-from .config import (
-    ConfigError,
-    RunConfig,
-    load_config,
-    loads_config,
-    parse_config,
-)
+from .scenario import SceneConfig, generate_scene
+from .experiment import SweepConfig, read_run_csv, read_runs, sweep
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BOLTZMANN",
     "ControlPoint",
     "Environment",
-    "GridEvaluation",
     "RadarConstants",
-    "TaskEvaluation",
     "UtilityShape",
-    "alpha_factor",
-    "beamwidth",
-    "beta_factor",
-    "clamp_snr",
-    "cross_talk_loss",
-    "db_to_linear",
-    "derive_k_rad",
-    "detection_probability",
     "evaluate",
-    "evaluate_grid",
-    "expected_looks",
-    "gamma_factor",
     "linear_to_db",
-    "quality",
-    "resource",
-    "snr0",
-    "track_sharpness",
-    "track_sharpness_batch",
-    "utility",
-    "AllocationResult",
-    "Assignment",
-    "ConcaveMajorant",
     "ControlGrid",
-    "SetPoint",
-    "TaskSetPoints",
     "allocate",
-    "allocate_many",
     "brute_force_allocate",
     "build_majorant",
     "enumerate_setpoints",
-    "fast_traversal_majorant",
-    "TYPE_RANGES",
-    "Scene",
     "SceneConfig",
-    "TargetType",
-    "TargetTypeRanges",
-    "TrackingTask",
     "generate_scene",
-    "normalize_weights",
-    "scene_from_json",
-    "scene_to_json",
-    "AggregateMetrics",
-    "CellStats",
-    "RunMetrics",
-    "RunRecord",
     "SweepConfig",
-    "SweepResult",
-    "aggregate_runs",
-    "budget_sweep",
-    "derive_run_seed",
-    "element_histogram_report",
-    "evaluate_scene",
     "read_run_csv",
     "read_runs",
-    "run_once",
     "sweep",
-    "write_sweep_outputs",
-    "ConfigError",
-    "RunConfig",
-    "load_config",
-    "loads_config",
-    "parse_config",
     "__version__",
 ]

@@ -47,7 +47,6 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .experiment import (
     SCHEMA_HEADER,
     _atomic_write,
-    fmt_budget,
     fmt_error_mrad,
     fmt_utility,
     sweep,
@@ -56,6 +55,8 @@ from .experiment import (
 from .qram import allocate, build_majorant, enumerate_setpoints
 from .radar_model import ControlPoint, Environment, evaluate, linear_to_db
 from .scenario import generate_scene
+
+HISTOGRAM_GRID = "split"  # grid whose element histogram sweep writes
 
 
 def _load(parser: argparse.ArgumentParser, path: str | None) -> RunConfig:
@@ -99,19 +100,31 @@ def _evaluation_json(ev) -> dict:
     }
 
 
-def _parse_range_sweep(parser: argparse.ArgumentParser,
-                       text: str) -> list[float]:
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _range_sweep(text: str) -> list[float]:
+    """argparse type: START_KM:STOP_KM:COUNT as evenly spaced ranges."""
     parts = text.split(":")
     if len(parts) != 3:
-        parser.error("--range-sweep must be START_KM:STOP_KM:COUNT")
+        raise argparse.ArgumentTypeError("must be START_KM:STOP_KM:COUNT")
+    start, stop = _finite_float(parts[0]), _finite_float(parts[1])
     try:
-        start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError:
-        parser.error("--range-sweep must be START_KM:STOP_KM:COUNT "
-                     "with numeric fields")
+        raise argparse.ArgumentTypeError(
+            f"COUNT is not an integer: {parts[2]!r}") from None
     if start <= 0 or stop <= start or count < 2:
-        parser.error("--range-sweep needs 0 < START < STOP and COUNT >= 2")
+        raise argparse.ArgumentTypeError(
+            "needs 0 < START < STOP and COUNT >= 2")
     step = (stop - start) / (count - 1)
     return [start + k * step for k in range(count)]
 
@@ -147,7 +160,7 @@ def cmd_eval(parser: argparse.ArgumentParser,
                            corr_time=args.corr_time)
 
     if args.range_sweep is not None:
-        for km in _parse_range_sweep(parser, args.range_sweep):
+        for km in args.range_sweep:
             ev = evaluate(cp, env_at(km), consts, cfg.utility)
             row = {"range_km": round(km, 6), **_evaluation_json(ev)}
             print(json.dumps(row))
@@ -227,10 +240,14 @@ def cmd_sweep(parser: argparse.ArgumentParser,
                else _threads_from_env(parser))
     if threads is not None and threads < 0:
         parser.error("--threads must be >= 0")
+    if HISTOGRAM_GRID not in cfg.sweep.grid_names:
+        parser.error(f"--config: sweep.grids: the element histogram needs "
+                     f"a grid named {HISTOGRAM_GRID!r}, got "
+                     f"{list(cfg.sweep.grid_names)}")
     result = sweep(cfg.sweep, cfg.radar, cfg.utility, threads=threads)
     written = write_sweep_outputs(result, args.out,
                                   histogram_budgets=cfg.histogram_budgets,
-                                  histogram_grid="split")
+                                  histogram_grid=HISTOGRAM_GRID)
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 
@@ -246,22 +263,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser(
         "eval", help="evaluate one task at explicit control settings")
     p_eval.add_argument("--config", help="configuration file (JSON)")
-    p_eval.add_argument("--range", type=float,
+    p_eval.add_argument("--range", type=_finite_float,
                         help="target range [km]")
     p_eval.add_argument("--range-sweep", metavar="START:STOP:COUNT",
+                        type=_range_sweep,
                         help="evaluate over evenly spaced ranges [km], "
                              "one JSON object per line")
-    p_eval.add_argument("--bearing", type=float, default=0.0,
+    p_eval.add_argument("--bearing", type=_finite_float, default=0.0,
                         help="bearing off boresight [deg], default 0")
-    p_eval.add_argument("--rcs", type=float, default=0.0,
+    p_eval.add_argument("--rcs", type=_finite_float, default=0.0,
                         help="radar cross section [dBsm], default 0")
-    p_eval.add_argument("--maneuver-std", type=float, required=True,
+    p_eval.add_argument("--maneuver-std", type=_finite_float, required=True,
                         help="acceleration standard deviation [m/s^2]")
-    p_eval.add_argument("--corr-time", type=float, required=True,
+    p_eval.add_argument("--corr-time", type=_finite_float, required=True,
                         help="maneuver correlation time [s]")
-    p_eval.add_argument("--td", type=float, required=True,
+    p_eval.add_argument("--td", type=_finite_float, required=True,
                         help="coherent integration time [ms]")
-    p_eval.add_argument("--ft", type=float, required=True,
+    p_eval.add_argument("--ft", type=_finite_float, required=True,
                         help="track update frequency [Hz]")
     p_eval.add_argument("--nh", type=int, required=True,
                         help="horizontal element count")
@@ -269,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc = sub.add_parser(
         "allocate", help="solve one scene at one budget")
     p_alloc.add_argument("--config", help="configuration file (JSON)")
-    p_alloc.add_argument("--budget", type=float, required=True,
+    p_alloc.add_argument("--budget", type=_finite_float, required=True,
                          help="radar time budget, fraction in (0, 1]")
     p_alloc.add_argument("--grid",
                          help="control grid name (default: first in "

@@ -281,6 +281,8 @@ def parse_config(document: Any) -> RunConfig:
         if n not in grid_names:
             _fail("sweep.grids", f"unknown grid {n!r} "
                   f"(defined grids: {grid_names})")
+        if sweep_grids.count(n) > 1:
+            _fail("sweep.grids", f"grid {n!r} is listed more than once")
     hist = [round(b, 10) for b in
             _expand("sweep.histogram_budgets",
                     sweep_doc["histogram_budgets"])]

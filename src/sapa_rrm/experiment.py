@@ -88,7 +88,7 @@ class SweepConfig:
             raise ValueError("budgets must lie in (0, 1]")
         if any(b >= c for b, c in zip(budgets, budgets[1:])):
             raise ValueError("budgets must be strictly increasing")
-        grids = tuple((str(n), g) for n, g in dict(self.grids).items())
+        grids = tuple((str(n), g) for n, g in self.grids)
         object.__setattr__(self, "grids", grids)
         if not grids:
             raise ValueError("grids must be non-empty")
@@ -202,13 +202,6 @@ def evaluate_scene(scene: Scene, grid: ControlGrid,
     return [_metrics_from_allocation(res, grid) for res in results]
 
 
-def run_once(scene: Scene, grid: ControlGrid, r_tot: float,
-             consts: RadarConstants,
-             shape: UtilityShape) -> RunMetrics:
-    """Single (scene, grid, budget) evaluation."""
-    return evaluate_scene(scene, grid, [r_tot], consts, shape)[0]
-
-
 def _cell_stats(values: np.ndarray) -> CellStats:
     valid = values[~np.isnan(values)]
     if valid.size == 0:
@@ -313,41 +306,6 @@ def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
                                cfg.budgets, cfg.grid_names)
     return SweepResult(config=cfg, run_seeds=seeds, runs=tuple(runs),
                        aggregate=aggregate)
-
-
-def budget_sweep(cfg: SweepConfig,
-                 consts: RadarConstants = RadarConstants(),
-                 shape: UtilityShape = UtilityShape(),
-                 threads: int | None = None) -> AggregateMetrics:
-    """Aggregate statistics of a Monte Carlo campaign."""
-    return sweep(cfg, consts, shape, threads).aggregate
-
-
-def element_histogram_report(
-        cfg: SweepConfig, budgets: Sequence[float],
-        consts: RadarConstants = RadarConstants(),
-        shape: UtilityShape = UtilityShape(),
-        threads: int | None = None, grid_name: str = "split",
-) -> tuple[tuple[float, tuple[tuple[int, float], ...]], ...]:
-    """Mean allocated-task counts per n_h bin at selected budgets.
-
-    Args:
-        cfg: campaign description; must contain grid_name.
-        budgets: subset of cfg.budgets to report.
-        grid_name: which grid's histogram to report.
-
-    Returns:
-        Tuple of (budget, ((n_h, mean count), ...)) in budget order.
-    """
-    requested = tuple(sorted(float(b) for b in budgets))
-    missing = [b for b in requested if b not in cfg.budgets]
-    if missing:
-        raise ValueError(f"budgets not part of the sweep: {missing}")
-    sub = replace(cfg, budgets=requested,
-                  grids=((grid_name, cfg.grid(grid_name)),))
-    agg = budget_sweep(sub, consts, shape, threads)
-    return tuple((b, agg.element_histogram[(grid_name, b)])
-                 for b in requested)
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,6 @@ class ControlGrid:
         return (len(self.t_d_values) * len(self.f_t_values)
                 * len(self.n_h_values))
 
-    def is_full_aperture(self, consts: RadarConstants) -> bool:
-        return self.n_h_values == (consts.n_h_total,)
-
 
 @dataclass(frozen=True)
 class SetPoint:
@@ -166,17 +163,6 @@ class ConcaveMajorant:
 
     points: tuple[SetPoint, ...] = field(default_factory=tuple)
 
-    def segments(self) -> list[tuple[float, float, float]]:
-        """Per-segment (d_resource, d_weighted_utility, marginal utility)."""
-        out = []
-        prev_g, prev_wu = 0.0, 0.0
-        for p in self.points:
-            dg = p.resource - prev_g
-            dwu = p.weighted_utility - prev_wu
-            out.append((dg, dwu, dwu / dg))
-            prev_g, prev_wu = p.resource, p.weighted_utility
-        return out
-
 
 def _point_arrays(points) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(points, TaskSetPoints):
@@ -240,41 +226,6 @@ def build_majorant(points) -> ConcaveMajorant:
     g, wu = _point_arrays(points)
     return ConcaveMajorant(points=tuple(points[i]
                                         for i in _hull_indices(g, wu)))
-
-
-def fast_traversal_majorant(points) -> ConcaveMajorant:
-    """Incremental frontier construction by repeated best-marginal steps.
-
-    From the current vertex (starting at the origin) pick the candidate
-    with the highest marginal utility among points with strictly larger
-    resource and utility; repeat until nothing improves, then enforce
-    concavity with a final hull pass.  Ties prefer the smaller resource,
-    then the earlier enumeration index.
-    """
-    g, wu = _point_arrays(points)
-    if g.size == 0:
-        return ConcaveMajorant()
-    chosen: list[int] = []
-    cur_g, cur_wu = 0.0, 0.0
-    alive = np.ones(g.size, dtype=bool)
-    while True:
-        cand = alive & (g > cur_g) & (wu > cur_wu)
-        if not cand.any():
-            break
-        # the masked lanes may divide by zero; they are discarded anyway
-        with np.errstate(divide="ignore", invalid="ignore"):
-            marginal = np.where(cand, (wu - cur_wu) / (g - cur_g), -np.inf)
-        best = marginal.max()
-        ties = np.nonzero(marginal == best)[0]
-        pick = int(ties[np.argmin(g[ties])])
-        chosen.append(pick)
-        cur_g, cur_wu = float(g[pick]), float(wu[pick])
-        alive[pick] = False
-
-    sub_g = g[chosen]
-    sub_wu = wu[chosen]
-    keep = _hull_indices(sub_g, sub_wu)
-    return ConcaveMajorant(points=tuple(points[chosen[i]] for i in keep))
 
 
 @dataclass(frozen=True)

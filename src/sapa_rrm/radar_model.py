@@ -279,48 +279,6 @@ def utility(q: float, shape: UtilityShape) -> float:
     return min(1.0, max(0.0, u))
 
 
-def _evaluate_chain(cp: ControlPoint, env: Environment,
-                    consts: RadarConstants) -> tuple | None:
-    """Shared evaluation pipeline; None when the SNR is below the floor.
-
-    quality(), resource() and evaluate() all run through here so their
-    outputs are bit-for-bit consistent.
-    """
-    raw = snr0(cp, env, consts)
-    snr, feasible = clamp_snr(raw, consts)
-    if not feasible:
-        return None
-    xi = cross_talk_loss(cp.n_h, consts)
-    theta_bw = beamwidth(cp, env, consts)
-    alpha = alpha_factor(cp, env, theta_bw)
-    beta = beta_factor(snr, xi, consts)
-    v0 = track_sharpness(alpha, beta)
-    q = theta_bw * v0
-    p_d = detection_probability(snr, xi, consts)
-    gamma = gamma_factor(snr, xi, consts)
-    n_l = expected_looks(v0, gamma, p_d)
-    g = n_l * cp.t_d * cp.f_t * (cp.n_h / consts.n_h_total)
-    return snr, v0, q, p_d, n_l, g
-
-
-def quality(cp: ControlPoint, env: Environment,
-            consts: RadarConstants) -> float | None:
-    """Achievable angular error q [rad], or None when not detectable."""
-    chain = _evaluate_chain(cp, env, consts)
-    if chain is None:
-        return None
-    return chain[2]
-
-
-def resource(cp: ControlPoint, env: Environment,
-             consts: RadarConstants) -> float | None:
-    """Fractional radar time g consumed, or None when not detectable."""
-    chain = _evaluate_chain(cp, env, consts)
-    if chain is None:
-        return None
-    return chain[5]
-
-
 def evaluate(cp: ControlPoint, env: Environment, consts: RadarConstants,
              shape: UtilityShape) -> TaskEvaluation:
     """Evaluate one control point against one environment.
@@ -335,10 +293,20 @@ def evaluate(cp: ControlPoint, env: Environment, consts: RadarConstants,
         A fully populated TaskEvaluation; ``feasible=False`` with all
         other fields None when the unclamped SNR falls below the floor.
     """
-    chain = _evaluate_chain(cp, env, consts)
-    if chain is None:
+    raw = snr0(cp, env, consts)
+    snr, feasible = clamp_snr(raw, consts)
+    if not feasible:
         return TaskEvaluation(feasible=False)
-    snr, v0, q, p_d, n_l, g = chain
+    xi = cross_talk_loss(cp.n_h, consts)
+    theta_bw = beamwidth(cp, env, consts)
+    alpha = alpha_factor(cp, env, theta_bw)
+    beta = beta_factor(snr, xi, consts)
+    v0 = track_sharpness(alpha, beta)
+    q = theta_bw * v0
+    p_d = detection_probability(snr, xi, consts)
+    gamma = gamma_factor(snr, xi, consts)
+    n_l = expected_looks(v0, gamma, p_d)
+    g = n_l * cp.t_d * cp.f_t * (cp.n_h / consts.n_h_total)
     return TaskEvaluation(
         feasible=True,
         quality=q,

@@ -11,7 +11,6 @@ came before it.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -140,34 +139,4 @@ def generate_scene(cfg: SceneConfig) -> Scene:
     weights = normalize_weights(raw_weights)
     tasks = tuple(TrackingTask(environment=env, weight=w, target_type=tt)
                   for env, w, tt in zip(envs, weights, types))
-    return Scene(tasks=tasks)
-
-
-def scene_to_json(scene: Scene) -> str:
-    """Serialize a scene for audit or replay; floats round-trip exactly."""
-    doc = {"tasks": [{
-        "range": t.environment.range,
-        "bearing": t.environment.bearing,
-        "rcs": t.environment.rcs,
-        "maneuver_std": t.environment.maneuver_std,
-        "corr_time": t.environment.corr_time,
-        "weight": t.weight,
-        "type": t.target_type.value,
-    } for t in scene.tasks]}
-    return json.dumps(doc, indent=2)
-
-
-def scene_from_json(text: str) -> Scene:
-    doc = json.loads(text)
-    tasks = tuple(
-        TrackingTask(
-            environment=Environment(range=item["range"],
-                                    bearing=item["bearing"],
-                                    rcs=item["rcs"],
-                                    maneuver_std=item["maneuver_std"],
-                                    corr_time=item["corr_time"]),
-            weight=item["weight"],
-            target_type=TargetType(item["type"]),
-        )
-        for item in doc["tasks"])
     return Scene(tasks=tasks)

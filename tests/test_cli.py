@@ -118,6 +118,29 @@ def test_eval_usage_errors_exit_2(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (EVAL_BASE + ["--range", "nan"], "--range"),
+    (EVAL_BASE + ["--range", "inf"], "--range"),
+    (EVAL_BASE + ["--range", "50", "--bearing", "nan"], "--bearing"),
+    (EVAL_BASE + ["--range", "50", "--rcs", "nan"], "--rcs"),
+    (EVAL_BASE + ["--range", "50", "--maneuver-std", "inf"],
+     "--maneuver-std"),
+    (EVAL_BASE + ["--range", "50", "--corr-time", "nan"], "--corr-time"),
+    (EVAL_BASE + ["--range", "50", "--td", "inf"], "--td"),
+    (EVAL_BASE + ["--range", "50", "--ft=-inf"], "--ft"),
+    (EVAL_BASE + ["--range-sweep", "nan:10:2"], "--range-sweep"),
+    (EVAL_BASE + ["--range-sweep", "10:inf:2"], "--range-sweep"),
+    (["allocate", "--budget", "nan"], "--budget"),
+])
+def test_non_finite_numbers_exit_2_naming_the_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}:" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # allocate
 
@@ -256,6 +279,19 @@ def test_sweep_thread_flag_overrides_environment(config_path, tmp_path,
                    "--out", str(tmp_path / "ok"), "--threads", "1"])
     assert rc == 0
     capsys.readouterr()
+
+
+def test_sweep_without_histogram_grid_exits_2(tmp_path, capsys):
+    # the element histogram is written for the grid named "split"
+    doc = dict(CONFIG_DOC, sweep=dict(CONFIG_DOC["sweep"], grids=["full"]))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", str(path),
+                  "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "sweep.grids" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_rejects_negative_thread_flag(config_path, tmp_path,

@@ -52,8 +52,8 @@ def test_default_grids():
     assert full.n_h_values == (48,)
     assert full.size == 101 * 60
     assert full.t_d_values == split.t_d_values
-    assert not split.is_full_aperture(cfg.radar)
-    assert full.is_full_aperture(cfg.radar)
+    assert split.n_h_values != (cfg.radar.n_h_total,)
+    assert full.n_h_values == (cfg.radar.n_h_total,)
 
 
 def test_default_sweep_plan():
@@ -202,6 +202,8 @@ def test_normalized_document_contains_every_section():
     ({"sweep": {"n_mc": 0}}, "sweep:"),
     ({"sweep": {"histogram_budgets": [0.015]}},
      "sweep.histogram_budgets: 0.015 is not one of the sweep budgets"),
+    ({"sweep": {"grids": ["split", "split", "full"]}},
+     "sweep.grids: grid 'split' is listed more than once"),
 ])
 def test_invalid_documents_are_rejected(document, needle):
     with pytest.raises(ConfigError, match=needle):

@@ -10,13 +10,12 @@ from sapa_rrm.experiment import (
     SweepConfig,
     aggregate_runs,
     derive_run_seed,
-    element_histogram_report,
+    evaluate_scene,
     fmt_budget,
     read_run_csv,
     read_runs,
     round_error_mrad,
     round_utility,
-    run_once,
     sweep,
     write_sweep_outputs,
 )
@@ -81,6 +80,7 @@ def test_rounding_matches_csv_precision():
     dict(n_mc=0),
     dict(grids=()),
     dict(grids=(("", SPLIT),)),
+    dict(grids=(("split", SPLIT), ("split", FULL))),
 ])
 def test_sweep_config_validation(kwargs):
     base = dict(budgets=(0.2, 0.5), grids=(("split", SPLIT),), n_mc=2,
@@ -105,7 +105,7 @@ def test_run_once_saturates_close_scene():
     scene = generate_scene(SceneConfig(n_targets=8,
                                        range_interval=(10e3, 20e3),
                                        seed=21))
-    m = run_once(scene, SPLIT, 1.0, CONSTS, SHAPE)
+    m = evaluate_scene(scene, SPLIT, [1.0], CONSTS, SHAPE)[0]
     assert m.active_tracks == 8
     assert m.total_utility == pytest.approx(1.0, abs=1e-9)
     assert m.mean_angular_error < 1e-3
@@ -115,7 +115,7 @@ def test_run_once_starves_on_negligible_budget():
     scene = generate_scene(SceneConfig(n_targets=8,
                                        range_interval=(10e3, 20e3),
                                        seed=21))
-    m = run_once(scene, SPLIT, 1e-5, CONSTS, SHAPE)
+    m = evaluate_scene(scene, SPLIT, [1e-5], CONSTS, SHAPE)[0]
     assert m.active_tracks == 0
     assert m.total_utility == 0.0
     assert math.isnan(m.mean_angular_error)
@@ -124,7 +124,7 @@ def test_run_once_starves_on_negligible_budget():
 
 def test_run_once_histogram_accounts_for_every_active_track():
     scene = generate_scene(SceneConfig(n_targets=30, seed=4))
-    m = run_once(scene, SPLIT, 0.4, CONSTS, SHAPE)
+    m = evaluate_scene(scene, SPLIT, [0.4], CONSTS, SHAPE)[0]
     assert [n for n, _ in m.element_histogram] == list(SPLIT.n_h_values)
     assert sum(c for _, c in m.element_histogram) == m.active_tracks
     assert 0 < m.active_tracks <= 30
@@ -132,7 +132,7 @@ def test_run_once_histogram_accounts_for_every_active_track():
 
 def test_full_aperture_histogram_collapses_to_one_bin():
     scene = generate_scene(SceneConfig(n_targets=30, seed=4))
-    m = run_once(scene, FULL, 0.4, CONSTS, SHAPE)
+    m = evaluate_scene(scene, FULL, [0.4], CONSTS, SHAPE)[0]
     assert [n for n, _ in m.element_histogram] == [48]
     assert m.element_histogram[0][1] == m.active_tracks
 
@@ -295,21 +295,3 @@ def test_read_run_csv_units_and_header_check(small_result, tmp_path):
     bad.write_text("budget,grid\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_run_csv(bad)
-
-
-# ---------------------------------------------------------------------------
-# histogram report
-
-
-def test_element_histogram_report_subset():
-    cfg = SweepConfig(budgets=(0.2, 0.4, 0.8),
-                      grids=(("split", SPLIT),), n_mc=2,
-                      scene=SceneConfig(n_targets=15, seed=9))
-    report = element_histogram_report(cfg, [0.4, 0.2], CONSTS, SHAPE,
-                                      threads=1, grid_name="split")
-    assert [b for b, _ in report] == [0.2, 0.4]
-    for _, bins in report:
-        assert [n for n, _ in bins] == list(SPLIT.n_h_values)
-        assert all(c >= 0.0 for _, c in bins)
-    with pytest.raises(ValueError):
-        element_histogram_report(cfg, [0.3], CONSTS, SHAPE)

@@ -21,7 +21,7 @@ from sapa_rrm.qram import (
     brute_force_allocate,
     build_majorant,
     enumerate_setpoints,
-    fast_traversal_majorant,
+    _sorted_segments,
 )
 from sapa_rrm.radar_model import (
     ControlPoint,
@@ -65,6 +65,13 @@ def hull_value(majorant, x):
     return prev_wu
 
 
+def segments(majorant):
+    """(d_resource, d_weighted_utility, marginal) per hull segment, in
+    hull order, as the allocator's segment list sees them."""
+    return [(dg, dwu, m) for m, _, _, dg, dwu in
+            sorted(_sorted_segments([majorant]), key=lambda s: s[2])]
+
+
 point_clouds = st.lists(
     st.tuples(st.floats(min_value=0.01, max_value=1.0),
               st.floats(min_value=0.0, max_value=1.0)),
@@ -77,11 +84,11 @@ point_clouds = st.lists(
 
 def test_control_grid_size_and_aperture_flag():
     assert SMALL_GRID.size == 27
-    assert not SMALL_GRID.is_full_aperture(CONSTS)
+    assert SMALL_GRID.n_h_values != (CONSTS.n_h_total,)
     full = ControlGrid(t_d_values=(4e-3, 64e-3), f_t_values=(1.0,),
                        n_h_values=(48,))
     assert full.size == 2
-    assert full.is_full_aperture(CONSTS)
+    assert full.n_h_values == (CONSTS.n_h_total,)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -156,7 +163,7 @@ def test_majorant_hand_example():
     mj = build_majorant(pts)
     assert [(p.resource, p.weighted_utility) for p in mj.points] == \
         [(0.1, 0.5), (0.3, 0.9)]
-    assert mj.segments() == [(0.1, 0.5, 5.0),
+    assert segments(mj) == [(0.1, 0.5, 5.0),
                              (pytest.approx(0.2), pytest.approx(0.4),
                               pytest.approx(2.0))]
 
@@ -190,21 +197,11 @@ def test_majorant_structure_and_dominance(cloud):
     assert all(b > a for a, b in zip(gs, gs[1:]))
     assert all(b > a for a, b in zip(wus, wus[1:]))
     assert all(wu > 0.0 for wu in wus)
-    marginals = [m for _, _, m in mj.segments()]
+    marginals = [m for _, _, m in segments(mj)]
     assert all(b < a + 1e-12 for a, b in zip(marginals, marginals[1:]))
     # the hull majorizes every input point
     for g, wu in cloud:
         assert hull_value(mj, g) >= wu - 1e-12
-
-
-@given(point_clouds)
-@settings(deadline=None, max_examples=150)
-def test_fast_traversal_reproduces_hull(cloud):
-    pts = [sp(g, wu) for g, wu in cloud]
-    direct = build_majorant(pts)
-    traversal = fast_traversal_majorant(pts)
-    assert [(p.resource, p.weighted_utility) for p in traversal.points] == \
-        [(p.resource, p.weighted_utility) for p in direct.points]
 
 
 def test_majorant_of_enumerated_task_stays_below_point_count():
@@ -376,6 +373,6 @@ def test_greedy_within_one_segment_of_optimum():
         greedy = allocate(majorants, budget)
         opt = brute_force_allocate(lists, budget)
         assert greedy.total_utility <= opt.total_utility + 1e-12
-        max_seg = max((s[1] for mj in majorants for s in mj.segments()),
+        max_seg = max((s[4] for s in _sorted_segments(majorants)),
                       default=0.0)
         assert greedy.total_utility >= opt.total_utility - max_seg - 1e-12

@@ -31,8 +31,6 @@ from sapa_rrm.radar_model import (
     expected_looks,
     gamma_factor,
     linear_to_db,
-    quality,
-    resource,
     snr0,
     track_sharpness,
     track_sharpness_batch,
@@ -382,14 +380,6 @@ def test_evaluate_infeasible_returns_none_fields():
     for field in (ev.quality, ev.resource, ev.utility, ev.snr_linear,
                   ev.track_sharpness, ev.p_d, ev.n_looks):
         assert field is None
-    assert quality(cp, env, CONSTS) is None
-    assert resource(cp, env, CONSTS) is None
-
-
-def test_quality_resource_consistent_with_evaluate():
-    ev = evaluate(T1_POINT, T1_ENV, CONSTS, SHAPE)
-    assert quality(T1_POINT, T1_ENV, CONSTS) == ev.quality
-    assert resource(T1_POINT, T1_ENV, CONSTS) == ev.resource
 
 
 def test_evaluate_grid_matches_scalar_pointwise():

@@ -6,13 +6,10 @@ import pytest
 
 from sapa_rrm.scenario import (
     TYPE_RANGES,
-    Scene,
     SceneConfig,
     TargetType,
     generate_scene,
     normalize_weights,
-    scene_from_json,
-    scene_to_json,
 )
 
 
@@ -81,13 +78,6 @@ def test_type_probabilities_are_honored():
     all_sedate = generate_scene(SceneConfig(n_targets=50, seed=5,
                                             type_probabilities=(0.0, 1.0)))
     assert {t.target_type for t in all_sedate.tasks} == {TargetType.TYPE_II}
-
-
-def test_json_round_trip_is_exact():
-    scene = generate_scene(SceneConfig(n_targets=30, seed=9))
-    again = scene_from_json(scene_to_json(scene))
-    assert again == scene
-    assert isinstance(again, Scene)
 
 
 @pytest.mark.parametrize("kwargs", [
