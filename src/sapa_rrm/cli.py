@@ -111,12 +111,31 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _si_checked(to_si, unit: str):
+    """argparse type: finite x with a finite, positive m^2 or m^4 to_si(x)."""
+    def parse(text: str) -> float:
+        value = _finite_float(text)
+        try:
+            si = to_si(value)
+        except OverflowError:
+            si = math.inf
+        if not 0.0 < si < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} gives no finite positive float in {unit}")
+        return value
+    return parse
+
+
+_range_km = _si_checked(lambda km: (km * 1e3) ** 4, "m^4")
+_rcs_dbsm = _si_checked(lambda dbsm: 10.0 ** (dbsm / 10.0), "m^2")
+
+
 def _range_sweep(text: str) -> list[float]:
     """argparse type: START_KM:STOP_KM:COUNT as evenly spaced ranges."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("must be START_KM:STOP_KM:COUNT")
-    start, stop = _finite_float(parts[0]), _finite_float(parts[1])
+    start, stop = _range_km(parts[0]), _range_km(parts[1])
     try:
         count = int(parts[2])
     except ValueError:
@@ -263,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser(
         "eval", help="evaluate one task at explicit control settings")
     p_eval.add_argument("--config", help="configuration file (JSON)")
-    p_eval.add_argument("--range", type=_finite_float,
+    p_eval.add_argument("--range", type=_range_km,
                         help="target range [km]")
     p_eval.add_argument("--range-sweep", metavar="START:STOP:COUNT",
                         type=_range_sweep,
@@ -271,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "one JSON object per line")
     p_eval.add_argument("--bearing", type=_finite_float, default=0.0,
                         help="bearing off boresight [deg], default 0")
-    p_eval.add_argument("--rcs", type=_finite_float, default=0.0,
+    p_eval.add_argument("--rcs", type=_rcs_dbsm, default=0.0,
                         help="radar cross section [dBsm], default 0")
     p_eval.add_argument("--maneuver-std", type=_finite_float, required=True,
                         help="acceleration standard deviation [m/s^2]")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -28,14 +28,7 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-RADAR_DEFAULTS: dict[str, Any] = {
-    "k_rad": 2.662e21,      # radar constant [m^2/s]
-    "n_h_total": 48,
-    "p_fa": 1e-4,
-    "alpha_bw": 0.886,
-    "snr_floor_db": 10.0,
-    "snr_cap_db": 40.0,
-}
+RADAR_DEFAULTS: dict[str, Any] = asdict(RadarConstants())
 
 UTILITY_DEFAULTS: dict[str, Any] = {
     "q_min_mrad": 3.0,
@@ -145,20 +138,12 @@ def _expand(key: str, value: Any, integer: bool = False) -> list:
 
 
 def _build_radar(section: dict[str, Any]) -> RadarConstants:
+    values = {key: (_as_int if isinstance(RADAR_DEFAULTS[key], int)
+                    else _as_number)(f"radar.{key}", value)
+              for key, value in section.items()}
     try:
-        return RadarConstants(
-            k_rad=_as_number("radar.k_rad", section["k_rad"]),
-            n_h_total=_as_int("radar.n_h_total", section["n_h_total"]),
-            p_fa=_as_number("radar.p_fa", section["p_fa"]),
-            alpha_bw=_as_number("radar.alpha_bw", section["alpha_bw"]),
-            snr_floor_db=_as_number("radar.snr_floor_db",
-                                    section["snr_floor_db"]),
-            snr_cap_db=_as_number("radar.snr_cap_db",
-                                  section["snr_cap_db"]),
-        )
+        return RadarConstants(**values)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         _fail("radar", str(exc))
 
 
@@ -313,9 +298,19 @@ def parse_config(document: Any) -> RunConfig:
                      histogram_budgets=tuple(hist))
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """json object_pairs_hook: reject a key repeated within one object."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            _fail(key, "repeated key; JSON would keep only the last value")
+        document[key] = value
+    return document
+
+
 def loads_config(text: str) -> RunConfig:
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"<root>: not valid JSON ({exc})") from exc
     return parse_config(document)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BOLTZMANN = 1.380649e-23  # J/K, exact SI value
-
 LN10_OVER_10 = math.log(10.0) / 10.0
 
 
@@ -34,7 +32,7 @@ def linear_to_db(linear: float) -> float:
 class RadarConstants:
     """Aggregate radar parameters shared by every task evaluation."""
 
-    k_rad: float = 2.662e21       # radar constant [m^2/s], see derive_k_rad
+    k_rad: float = 2.662e21       # radar constant [m^2/s]
     n_h_total: int = 48           # total horizontal element count N_hT
     p_fa: float = 1e-4            # false alarm rate
     alpha_bw: float = 0.886       # beamwidth factor [rad*elements]
@@ -134,38 +132,36 @@ class TaskEvaluation:
     n_looks: float | None = None          # expected looks per update
 
 
-def cross_talk_loss(n_h: int, consts: RadarConstants) -> float:
-    """SNR loss factor for running tasks on a sub-aperture of n_h elements."""
-    if not 1 <= n_h <= consts.n_h_total:
-        raise ValueError("n_h must lie in [1, n_h_total]")
-    return 0.8 + 0.2 * n_h / consts.n_h_total
-
-
-def snr0(cp: ControlPoint, env: Environment, consts: RadarConstants) -> float:
-    """Unclamped single-look SNR (linear) before the cross-talk loss."""
+def _raw_snr(t_d, n_h, env: Environment, consts: RadarConstants):
+    """Single-look SN0 (linear) before the floor and the cap."""
     cos_b = math.cos(env.bearing)
-    return (consts.k_rad * cp.n_h**3 * cp.t_d * cos_b * cos_b * env.rcs
+    return (consts.k_rad * n_h**3 * t_d * cos_b * cos_b * env.rcs
             / env.range**4)
 
 
-def clamp_snr(snr_linear: float, consts: RadarConstants) -> tuple[float, bool]:
-    """Apply the detection floor and the accuracy cap.
+def _task_chain(snr, t_d, f_t, n_h, env: Environment,
+                consts: RadarConstants, solve, sqrt):
+    """The model from the clamped SNR on: (q, g, v0, p_d, n_l).
 
-    Returns ``(clamped, feasible)``.  Below the floor the value is passed
-    through unchanged with ``feasible=False``; above the cap it is clamped
-    to exactly the cap.  Every downstream consumer (quality and resource
-    paths alike) must use this single clamp site.
+    Cross-talk loss, scan-broadened beamwidth, sharpness balance,
+    Swerling I detection and expected looks, at least 1/p_d.  Operators
+    only, so ``snr`` and the controls may be Python floats or
+    broadcastable arrays; ``solve`` and ``sqrt`` must match that choice.
+    Callers look the solver up as a module attribute at call time, so a
+    wrapper installed on that attribute sees every solve.
     """
-    if snr_linear < consts.snr_floor:
-        return snr_linear, False
-    return min(snr_linear, consts.snr_cap), True
-
-
-def beamwidth(cp: ControlPoint, env: Environment, consts: RadarConstants) -> float:
-    """Scan-broadened half beamwidth [rad] for n_h horizontal elements."""
-    if not abs(env.bearing) < math.pi / 2.0:
-        raise ValueError("bearing must lie strictly inside (-pi/2, pi/2)")
-    return consts.alpha_bw / cp.n_h / math.cos(env.bearing)
+    xisnr = (0.8 + 0.2 * n_h / consts.n_h_total) * snr
+    theta_bw = consts.alpha_bw / n_h / math.cos(env.bearing)
+    alpha = 0.4 * f_t * (env.range * theta_bw * math.sqrt(env.corr_time)
+                         / env.maneuver_std) ** 0.4
+    v0 = solve(alpha, xisnr - math.log(consts.p_fa))  # beta > 0: p_fa < 1
+    q = theta_bw * v0
+    p_d = consts.p_fa ** (1.0 / (1.0 + xisnr))
+    gamma = 1.0 + 14.0 * sqrt(-math.log(consts.p_fa) / xisnr)
+    gv2 = gamma * v0 * v0
+    n_l = sqrt(1.0 + gv2 * gv2) / p_d
+    g = n_l * t_d * f_t * (n_h / consts.n_h_total)
+    return q, g, v0, p_d, n_l
 
 
 def _sharpness_equation(v: float, alpha: float, beta: float) -> float:
@@ -234,43 +230,18 @@ def track_sharpness_batch(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     c2 = np.asarray(alpha, dtype=np.float64) * beta
     c1, c2 = np.broadcast_arrays(c1, c2)
     t = c1 / c2 + c2 ** (-1.0 / 6.0)
+    c1_5, c2_6 = 5.0 * c1, 6.0 * c2  # loop invariants of dp
     for _ in range(24):
         t4 = t * t * t * t
         p = 1.0 + t4 * t * (c1 - c2 * t)
-        dp = t4 * (5.0 * c1 - 6.0 * c2 * t)
+        dp = t4 * (c1_5 - c2_6 * t)
         step = p / dp
         t = t - step
         if np.all(np.abs(step) <= 1e-15 * t):
             break
+    else:
+        raise ValueError("Newton did not converge; is alpha or beta NaN?")
     return t * t * np.sqrt(t)
-
-
-def alpha_factor(cp: ControlPoint, env: Environment, theta_bw: float) -> float:
-    """Maneuverability/update-rate factor of the sharpness balance."""
-    return 0.4 * cp.f_t * (env.range * theta_bw * math.sqrt(env.corr_time)
-                           / env.maneuver_std) ** 0.4
-
-
-def beta_factor(snr_clamped: float, xi: float, consts: RadarConstants) -> float:
-    """SNR factor of the sharpness balance; positive since p_fa < 1."""
-    return xi * snr_clamped - math.log(consts.p_fa)
-
-
-def detection_probability(snr_clamped: float, xi: float,
-                          consts: RadarConstants) -> float:
-    """Swerling I detection probability at the cross-talk-degraded SNR."""
-    return consts.p_fa ** (1.0 / (1.0 + xi * snr_clamped))
-
-
-def gamma_factor(snr_clamped: float, xi: float, consts: RadarConstants) -> float:
-    """Beam-positioning correction for the expected number of looks."""
-    return 1.0 + 14.0 * math.sqrt(-math.log(consts.p_fa) / (xi * snr_clamped))
-
-
-def expected_looks(v0: float, gamma: float, p_d: float) -> float:
-    """Expected looks per track update; at least 1/p_d."""
-    gv2 = gamma * v0 * v0
-    return math.sqrt(1.0 + gv2 * gv2) / p_d
 
 
 def utility(q: float, shape: UtilityShape) -> float:
@@ -293,20 +264,14 @@ def evaluate(cp: ControlPoint, env: Environment, consts: RadarConstants,
         A fully populated TaskEvaluation; ``feasible=False`` with all
         other fields None when the unclamped SNR falls below the floor.
     """
-    raw = snr0(cp, env, consts)
-    snr, feasible = clamp_snr(raw, consts)
-    if not feasible:
+    if not 1 <= cp.n_h <= consts.n_h_total:
+        raise ValueError("n_h must lie in [1, n_h_total]")
+    raw = _raw_snr(cp.t_d, cp.n_h, env, consts)
+    if raw < consts.snr_floor:
         return TaskEvaluation(feasible=False)
-    xi = cross_talk_loss(cp.n_h, consts)
-    theta_bw = beamwidth(cp, env, consts)
-    alpha = alpha_factor(cp, env, theta_bw)
-    beta = beta_factor(snr, xi, consts)
-    v0 = track_sharpness(alpha, beta)
-    q = theta_bw * v0
-    p_d = detection_probability(snr, xi, consts)
-    gamma = gamma_factor(snr, xi, consts)
-    n_l = expected_looks(v0, gamma, p_d)
-    g = n_l * cp.t_d * cp.f_t * (cp.n_h / consts.n_h_total)
+    snr = min(raw, consts.snr_cap)
+    q, g, v0, p_d, n_l = _task_chain(snr, cp.t_d, cp.f_t, cp.n_h, env,
+                                     consts, track_sharpness, math.sqrt)
     return TaskEvaluation(
         feasible=True,
         quality=q,
@@ -340,9 +305,9 @@ def evaluate_grid(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
                   shape: UtilityShape) -> GridEvaluation:
     """Vectorized evaluate() over the cartesian product of control values.
 
-    Matches the scalar pipeline op for op; the only difference is the
-    root solver (track_sharpness_batch), which agrees with the scalar
-    bisection to its 1e-10 tolerance.
+    Runs the same formula chain as evaluate(); the only difference is
+    the root solver (track_sharpness_batch), which agrees with the
+    scalar bisection to its 1e-10 tolerance.
 
     Args:
         t_d: 1-D array of integration times [s], ascending.
@@ -356,56 +321,17 @@ def evaluate_grid(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
     if np.any(n_h < 1) or np.any(n_h > consts.n_h_total):
         raise ValueError("n_h values must lie in [1, n_h_total]")
 
-    cos_b = math.cos(env.bearing)
-    raw = (consts.k_rad * n_h**3 * t_d * cos_b * cos_b * env.rcs
-           / env.range**4)                            # (nt, 1, nn)
+    raw = _raw_snr(t_d, n_h, env, consts)              # (nt, 1, nn)
     feasible = raw >= consts.snr_floor
     snr = np.minimum(raw, consts.snr_cap)
-    xi = 0.8 + 0.2 * n_h / consts.n_h_total           # (1, 1, nn)
-    xisnr = xi * snr
-
-    theta_bw = consts.alpha_bw / n_h / cos_b          # (1, 1, nn)
-    alpha = 0.4 * f_t * (env.range * theta_bw * math.sqrt(env.corr_time)
-                         / env.maneuver_std) ** 0.4   # (1, nf, nn)
-    beta = xisnr - math.log(consts.p_fa)              # (nt, 1, nn)
-    v0 = track_sharpness_batch(alpha, beta)           # (nt, nf, nn)
-
-    q = theta_bw * v0
+    q, g, v0, p_d, n_l = _task_chain(snr, t_d, f_t, n_h, env, consts,
+                                     track_sharpness_batch, np.sqrt)
     u = np.clip((q - shape.q_min) / (shape.q_max - shape.q_min), 0.0, 1.0)
-    p_d = consts.p_fa ** (1.0 / (1.0 + xisnr))
-    gamma = 1.0 + 14.0 * np.sqrt(-math.log(consts.p_fa) / xisnr)
-    gv2 = gamma * v0 * v0
-    n_l = np.sqrt(1.0 + gv2 * gv2) / p_d
-    g = n_l * t_d * f_t * (n_h / consts.n_h_total)
 
-    shape3 = np.broadcast_shapes(q.shape, g.shape, feasible.shape)
-    feasible = np.broadcast_to(feasible, shape3).copy()
+    feasible = np.broadcast_to(feasible, q.shape).copy()  # q is full-size
     q = np.where(feasible, q, np.nan)
-    g = np.where(feasible, np.broadcast_to(g, shape3), np.nan)
+    g = np.where(feasible, g, np.nan)
     u = np.where(feasible, u, np.nan)
-    snr = np.where(feasible, np.broadcast_to(snr, shape3), np.nan)
+    snr = np.where(feasible, snr, np.nan)
     return GridEvaluation(feasible=feasible, quality=q, resource=g,
                           utility=u, snr_linear=snr)
-
-
-def derive_k_rad(p_avg: float, wavelength: float, eta: float, n_vt: float,
-                 n_h_total: float, t0: float, noise_figure: float,
-                 losses: float) -> float:
-    """Radar constant from first-principles link-budget factors.
-
-    Args:
-        p_avg: average transmit power with all elements active [W].
-        wavelength: carrier wavelength [m].
-        eta: aperture efficiency.
-        n_vt: total vertical element count.
-        n_h_total: total horizontal element count.
-        t0: reference temperature [K].
-        noise_figure: receiver noise figure, linear ratio.
-        losses: system losses, linear ratio.
-    """
-    if min(p_avg, wavelength, eta, n_vt, n_h_total, t0,
-           noise_figure, losses) <= 0.0:
-        raise ValueError("all link-budget factors must be positive")
-    return (p_avg * wavelength**2 * eta**2 * n_vt**2
-            / (64.0 * math.pi * n_h_total * BOLTZMANN * t0
-               * noise_figure * losses))

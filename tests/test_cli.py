@@ -131,6 +131,12 @@ def test_eval_usage_errors_exit_2(argv, capsys):
     (EVAL_BASE + ["--range-sweep", "nan:10:2"], "--range-sweep"),
     (EVAL_BASE + ["--range-sweep", "10:inf:2"], "--range-sweep"),
     (["allocate", "--budget", "nan"], "--budget"),
+    # finite, but the model's m^4 or m^2 overflows or reaches zero
+    (EVAL_BASE + ["--range", "1e100"], "--range"),
+    (EVAL_BASE + ["--range", "50", "--rcs", "4000"], "--rcs"),
+    (EVAL_BASE + ["--range", "1e-200"], "--range"),
+    (EVAL_BASE + ["--range-sweep", "1e-200:1e-199:2"], "--range-sweep"),
+    (EVAL_BASE + ["--range", "50", "--rcs", "-4000"], "--rcs"),
 ])
 def test_non_finite_numbers_exit_2_naming_the_flag(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -204,10 +204,18 @@ def test_normalized_document_contains_every_section():
      "sweep.histogram_budgets: 0.015 is not one of the sweep budgets"),
     ({"sweep": {"grids": ["split", "split", "full"]}},
      "sweep.grids: grid 'split' is listed more than once"),
+    # JSON text, since a dict cannot hold a repeated key
+    pytest.param('{"radar": {"p_fa": 1e-3, "p_fa": 1e-5}}',
+                 "p_fa: repeated key", id="repeated-radar.p_fa"),
+    pytest.param('{"grids": {"split": {"t_d_ms": [4.0], "f_t_hz": [1.0], '
+                 '"n_h": [6]}, "split": {"t_d_ms": [8.0], "f_t_hz": [1.0], '
+                 '"n_h": [6]}}}', "split: repeated key",
+                 id="repeated-grids.split"),
 ])
 def test_invalid_documents_are_rejected(document, needle):
+    parse = loads_config if isinstance(document, str) else parse_config
     with pytest.raises(ConfigError, match=needle):
-        parse_config(document)
+        parse(document)
 
 
 def test_loads_config_rejects_malformed_json():

@@ -7,31 +7,24 @@ invariants that hold across the whole parameter domain.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sapa_rrm import radar_model
 from sapa_rrm.radar_model import (
     ControlPoint,
     Environment,
     RadarConstants,
     UtilityShape,
-    alpha_factor,
-    beamwidth,
-    beta_factor,
-    clamp_snr,
-    cross_talk_loss,
+    _task_chain,
     db_to_linear,
-    derive_k_rad,
-    detection_probability,
     evaluate,
     evaluate_grid,
-    expected_looks,
-    gamma_factor,
     linear_to_db,
-    snr0,
     track_sharpness,
     track_sharpness_batch,
     utility,
@@ -39,6 +32,8 @@ from sapa_rrm.radar_model import (
 
 CONSTS = RadarConstants()
 SHAPE = UtilityShape()
+# floor and cap far out of reach, so snr_linear reports the raw SNR
+OPEN = RadarConstants(snr_floor_db=-80.0, snr_cap_db=80.0)
 
 # Root of 1 + 52 v^2 - 100 v^2.4 (alpha=1, beta=100), frozen from the
 # dense-scan oracle below.
@@ -58,6 +53,11 @@ T1_POINT = ControlPoint(t_d=64e-3, f_t=1.0, n_h=48)
 T1_ENV = Environment(range=250e3, bearing=math.radians(60.0), rcs=0.1,
                      maneuver_std=35.0, corr_time=10.0)
 REF_T1_Q = 2.6192716352936096e-3   # [rad]
+
+# One element, 1 s, 1 m, 1 m^2 on boresight: the raw SNR is k_rad itself.
+UNIT_POINT = ControlPoint(t_d=1.0, f_t=1.0, n_h=1)
+UNIT_ENV = Environment(range=1.0, bearing=0.0, rcs=1.0,
+                       maneuver_std=1.0, corr_time=1.0)
 
 
 def balance_residual(v, alpha, beta):
@@ -88,8 +88,26 @@ def dense_scan_root(alpha, beta, n_points=1_000_000):
     return 0.5 * (lo + hi)
 
 
+def chain(cp, env, snr, consts=CONSTS, solve=track_sharpness):
+    """The shared formula chain on scalars, at a given clamped SNR.
+
+    Returns its outputs and the (alpha, beta) it handed the root solver.
+    """
+    calls = []
+
+    def recording(alpha, beta):
+        calls.append((alpha, beta))
+        return solve(alpha, beta)
+
+    q, g, v0, p_d, n_l = _task_chain(snr, cp.t_d, cp.f_t, cp.n_h, env,
+                                     consts, recording, math.sqrt)
+    (alpha, beta), = calls
+    return SimpleNamespace(alpha=alpha, beta=beta, q=q, g=g, v0=v0,
+                           p_d=p_d, n_l=n_l)
+
+
 # ---------------------------------------------------------------------------
-# constants and scalar helpers
+# constants and the model's steps
 
 
 def test_default_constants():
@@ -112,112 +130,123 @@ def test_db_helpers_round_trip():
 
 
 def test_cross_talk_loss_interpolates_element_share():
-    assert cross_talk_loss(48, CONSTS) == 1.0
-    assert cross_talk_loss(24, CONSTS) == pytest.approx(0.9, rel=1e-15)
-    assert cross_talk_loss(6, CONSTS) == pytest.approx(0.825, rel=1e-15)
+    # at SNR 1 the chain's SNR factor is beta = xi - ln(p_fa)
+    for n_h, xi in ((48, 1.0), (24, 0.9), (6, 0.825)):
+        cp = ControlPoint(t_d=20e-3, f_t=1.0, n_h=n_h)
+        assert chain(cp, T2_ENV, 1.0).beta == pytest.approx(
+            xi - math.log(1e-4), rel=1e-15)
+    too_many = ControlPoint(t_d=20e-3, f_t=1.0, n_h=49)
     with pytest.raises(ValueError):
-        cross_talk_loss(0, CONSTS)
+        evaluate(too_many, T2_ENV, CONSTS, SHAPE)
+    # the element count is checked before the SNR floor
     with pytest.raises(ValueError):
-        cross_talk_loss(49, CONSTS)
+        evaluate(too_many, T1_ENV, RadarConstants(k_rad=1.0), SHAPE)
 
 
 def test_snr0_reference_value():
     cp = ControlPoint(t_d=64e-3, f_t=1.0, n_h=48)
     env = Environment(range=70e3, bearing=0.0, rcs=1.0,
                       maneuver_std=1.0, corr_time=1.0)
+    snr = evaluate(cp, env, OPEN, SHAPE).snr_linear
     expected = 2.662e21 * 48**3 * 64e-3 * 1.0 / 70e3**4
-    assert snr0(cp, env, CONSTS) == pytest.approx(expected, rel=1e-14)
-    assert snr0(cp, env, CONSTS) == pytest.approx(784728.7736776344,
-                                                  rel=1e-12)
+    assert snr == pytest.approx(expected, rel=1e-14)
+    assert snr == pytest.approx(784728.7736776344, rel=1e-12)
 
 
 def test_snr0_scaling_laws():
+    def snr(cp, env):
+        return evaluate(cp, env, OPEN, SHAPE).snr_linear
+
     cp = ControlPoint(t_d=10e-3, f_t=1.0, n_h=12)
     env = Environment(range=50e3, bearing=0.0, rcs=2.0,
                       maneuver_std=1.0, corr_time=1.0)
-    base = snr0(cp, env, CONSTS)
+    base = snr(cp, env)
     double_t = ControlPoint(t_d=20e-3, f_t=1.0, n_h=12)
-    assert snr0(double_t, env, CONSTS) == pytest.approx(2 * base, rel=1e-12)
+    assert snr(double_t, env) == pytest.approx(2 * base, rel=1e-12)
     double_n = ControlPoint(t_d=10e-3, f_t=1.0, n_h=24)
-    assert snr0(double_n, env, CONSTS) == pytest.approx(8 * base, rel=1e-12)
+    assert snr(double_n, env) == pytest.approx(8 * base, rel=1e-12)
     double_r = Environment(range=100e3, bearing=0.0, rcs=2.0,
                            maneuver_std=1.0, corr_time=1.0)
-    assert snr0(cp, double_r, CONSTS) == pytest.approx(base / 16, rel=1e-12)
+    assert snr(cp, double_r) == pytest.approx(base / 16, rel=1e-12)
     slanted = Environment(range=50e3, bearing=math.radians(60.0), rcs=2.0,
                           maneuver_std=1.0, corr_time=1.0)
-    assert snr0(cp, slanted, CONSTS) == pytest.approx(base / 4, rel=1e-12)
+    assert snr(cp, slanted) == pytest.approx(base / 4, rel=1e-12)
 
 
 def test_clamp_passes_low_snr_through_as_infeasible():
-    value, feasible = clamp_snr(3.0, CONSTS)
-    assert value == 3.0 and not feasible
+    def at(raw):  # raw SNR == k_rad at the unit point
+        return evaluate(UNIT_POINT, UNIT_ENV, RadarConstants(k_rad=raw),
+                        SHAPE)
+
+    assert not at(3.0).feasible
     # the floor itself detects; only strictly below is infeasible
-    value, feasible = clamp_snr(CONSTS.snr_floor, CONSTS)
-    assert value == CONSTS.snr_floor and feasible
-    value, feasible = clamp_snr(500.0, CONSTS)
-    assert value == 500.0 and feasible
-    value, feasible = clamp_snr(3e6, CONSTS)
-    assert value == CONSTS.snr_cap and feasible
+    assert at(CONSTS.snr_floor).snr_linear == CONSTS.snr_floor
+    assert not at(math.nextafter(CONSTS.snr_floor, 0.0)).feasible
+    assert at(500.0).snr_linear == 500.0
+    assert at(3e6).snr_linear == CONSTS.snr_cap
 
 
 def test_beamwidth_scan_broadening():
-    cp = ControlPoint(t_d=20e-3, f_t=1.0, n_h=48)
-    on_axis = Environment(range=10e3, bearing=0.0, rcs=1.0,
-                          maneuver_std=1.0, corr_time=1.0)
-    assert beamwidth(cp, on_axis, CONSTS) == pytest.approx(0.886 / 48,
-                                                           rel=1e-15)
-    slanted = Environment(range=10e3, bearing=math.radians(60.0), rcs=1.0,
-                          maneuver_std=1.0, corr_time=1.0)
-    assert beamwidth(cp, slanted, CONSTS) == pytest.approx(2 * 0.886 / 48,
-                                                           rel=1e-12)
-    small = ControlPoint(t_d=20e-3, f_t=1.0, n_h=6)
-    assert beamwidth(small, on_axis, CONSTS) == pytest.approx(0.886 / 6,
-                                                              rel=1e-15)
+    def beamwidth_of(n_h, bearing_deg):  # q = beamwidth * v0
+        env = Environment(range=10e3, bearing=math.radians(bearing_deg),
+                          rcs=1.0, maneuver_std=1.0, corr_time=1.0)
+        ev = evaluate(ControlPoint(t_d=20e-3, f_t=1.0, n_h=n_h), env,
+                      CONSTS, SHAPE)
+        return ev.quality / ev.track_sharpness
+
+    assert beamwidth_of(48, 0.0) == pytest.approx(0.886 / 48, rel=1e-15)
+    assert beamwidth_of(48, 60.0) == pytest.approx(2 * 0.886 / 48,
+                                                   rel=1e-12)
+    assert beamwidth_of(6, 0.0) == pytest.approx(0.886 / 6, rel=1e-15)
 
 
 def test_alpha_factor_reference():
-    cp = ControlPoint(t_d=20e-3, f_t=1.0, n_h=48)
+    # one element with alpha_bw = 18.46e-3 gives that beamwidth exactly
+    consts = RadarConstants(alpha_bw=18.46e-3)
     env = Environment(range=10e3, bearing=0.0, rcs=10.0,
                       maneuver_std=5.0, corr_time=4.0)
+    alpha = chain(ControlPoint(t_d=20e-3, f_t=1.0, n_h=1), env, 1e4,
+                  consts).alpha
     expected = 0.4 * 1.0 * (10e3 * 18.46e-3 * math.sqrt(4.0) / 5.0) ** 0.4
-    assert alpha_factor(cp, env, 18.46e-3) == pytest.approx(expected,
-                                                            rel=1e-14)
-    assert alpha_factor(cp, env, 18.46e-3) == pytest.approx(
-        2.23551025540612, rel=1e-12)
+    assert alpha == pytest.approx(expected, rel=1e-14)
+    assert alpha == pytest.approx(2.23551025540612, rel=1e-12)
     # linear in f_t
-    fast = ControlPoint(t_d=20e-3, f_t=4.0, n_h=48)
-    assert alpha_factor(fast, env, 18.46e-3) == pytest.approx(
-        4 * alpha_factor(cp, env, 18.46e-3), rel=1e-12)
+    fast = ControlPoint(t_d=20e-3, f_t=4.0, n_h=1)
+    assert chain(fast, env, 1e4, consts).alpha == pytest.approx(
+        4 * alpha, rel=1e-12)
 
 
 def test_beta_factor_reference():
-    assert beta_factor(1e4, 1.0, CONSTS) == pytest.approx(
-        1e4 - math.log(1e-4), rel=1e-15)
-    assert beta_factor(1e4, 1.0, CONSTS) == pytest.approx(
-        10009.210340371976, rel=1e-14)
+    beta = chain(T2_POINT, T2_ENV, 1e4).beta  # 48 elements: xi = 1
+    assert beta == pytest.approx(1e4 - math.log(1e-4), rel=1e-15)
+    assert beta == pytest.approx(10009.210340371976, rel=1e-14)
     # positive even at the detection floor with the worst cross talk
-    assert beta_factor(CONSTS.snr_floor, 0.8, CONSTS) > 0.0
+    one = ControlPoint(t_d=20e-3, f_t=1.0, n_h=1)
+    assert chain(one, T2_ENV, CONSTS.snr_floor).beta > 0.0
 
 
 def test_detection_probability_swerling():
-    p = detection_probability(1e4, 1.0, CONSTS)
+    p = chain(T2_POINT, T2_ENV, 1e4).p_d
     assert p == pytest.approx(1e-4 ** (1.0 / 10001.0), rel=1e-15)
-    assert 0.0 < detection_probability(10.0, 0.8, CONSTS) < p < 1.0
+    one = ControlPoint(t_d=20e-3, f_t=1.0, n_h=1)
+    assert 0.0 < chain(one, T2_ENV, 10.0).p_d < p < 1.0
     # detection improves with SNR
     snrs = [10.0, 30.0, 100.0, 1e3, 1e4]
-    p_ds = [detection_probability(s, 1.0, CONSTS) for s in snrs]
+    p_ds = [chain(T2_POINT, T2_ENV, s).p_d for s in snrs]
     assert p_ds == sorted(p_ds)
 
 
 def test_gamma_and_expected_looks():
-    gamma = gamma_factor(1e4, 1.0, CONSTS)
-    assert gamma == pytest.approx(
-        1.0 + 14.0 * math.sqrt(-math.log(1e-4) / 1e4), rel=1e-14)
-    assert expected_looks(1.0, 1.5, 0.5) == pytest.approx(math.sqrt(13.0),
-                                                          rel=1e-14)
+    gamma = 1.0 + 14.0 * math.sqrt(-math.log(1e-4) / 1e4)
+    # a solver stub fixes v0, so n_l = sqrt(1 + (gamma v0^2)^2) / p_d
+    # shows the chain's gamma at SNR 1e4 with xi = 1
+    unit = chain(T2_POINT, T2_ENV, 1e4, solve=lambda a, b: 1.0)
+    assert unit.n_l * unit.p_d == pytest.approx(math.sqrt(1.0 + gamma**2),
+                                                rel=1e-14)
     # at least one look per 1/p_d regardless of sharpness
     for v0 in (0.0, 0.1, 0.3, 2.0):
-        assert expected_looks(v0, gamma, 0.9) >= 1.0 / 0.9 - 1e-12
+        out = chain(T2_POINT, T2_ENV, 1e4, solve=lambda a, b: v0)
+        assert out.n_l >= 1.0 / out.p_d - 1e-12
 
 
 def test_utility_boundaries_exact():
@@ -308,6 +337,30 @@ def test_batch_solver_matches_bisection():
     np.testing.assert_allclose(batch, scalar, rtol=5e-8)
 
 
+def test_batch_solver_reports_non_convergence():
+    with pytest.raises(ValueError, match="did not converge"):
+        track_sharpness_batch(np.array([1.0, np.nan]), np.array([100.0, 1e3]))
+
+
+def test_solvers_are_looked_up_at_call_time(monkeypatch):
+    # a wrapper installed on a module attribute sees every solve
+    seen = []
+
+    def spy(name):
+        solver = getattr(radar_model, name)
+
+        def wrapper(alpha, beta):
+            seen.append(name)
+            return solver(alpha, beta)
+        return wrapper
+
+    for name in ("track_sharpness", "track_sharpness_batch"):
+        monkeypatch.setattr(radar_model, name, spy(name))
+    evaluate(T2_POINT, T2_ENV, CONSTS, SHAPE)
+    evaluate_grid([20e-3], [1.0], [48.0], T2_ENV, CONSTS, SHAPE)
+    assert seen == ["track_sharpness", "track_sharpness_batch"]
+
+
 def test_batch_solver_broadcasts():
     alphas = np.array([[0.5, 1.0, 2.0]])    # (1, 3)
     betas = np.array([[50.0], [500.0]])     # (2, 1)
@@ -382,12 +435,32 @@ def test_evaluate_infeasible_returns_none_fields():
         assert field is None
 
 
-def test_evaluate_grid_matches_scalar_pointwise():
+def grid_env(range_km, bearing_deg, rcs_dbsm, maneuver_std, corr_time):
+    return Environment(range=range_km * 1e3,
+                       bearing=math.radians(bearing_deg),
+                       rcs=db_to_linear(rcs_dbsm),
+                       maneuver_std=maneuver_std, corr_time=corr_time)
+
+
+@pytest.mark.parametrize("env,all_feasible", [
+    pytest.param(Environment(range=180e3, bearing=0.3, rcs=0.3,
+                             maneuver_std=5.0, corr_time=4.0), False,
+                 id="180km-0.3rad-0.3m2"),
+    pytest.param(grid_env(10, 0, 10, 5.0, 4.0), True,
+                 id="10km-0deg-+10dBsm"),
+    pytest.param(grid_env(10, -60, -10, 5.0, 4.0), True,
+                 id="10km--60deg--10dBsm"),
+    pytest.param(grid_env(250, 0, 10, 35.0, 10.0), False,
+                 id="250km-0deg-+10dBsm"),
+    pytest.param(grid_env(250, -60, -10, 35.0, 10.0), False,
+                 id="250km--60deg--10dBsm"),
+    pytest.param(grid_env(250, 60, 10, 35.0, 10.0), False,
+                 id="250km-+60deg-+10dBsm"),
+])
+def test_evaluate_grid_matches_scalar_pointwise(env, all_feasible):
     t_d = np.array([4e-3, 20e-3, 64e-3])
     f_t = np.array([0.5, 1.0, 2.0, 6.0])
     n_h = np.arange(6, 49, 6, dtype=float)
-    env = Environment(range=180e3, bearing=0.3, rcs=0.3,
-                      maneuver_std=5.0, corr_time=4.0)
     ge = evaluate_grid(t_d, f_t, n_h, env, CONSTS, SHAPE)
     assert ge.quality.shape == (3, 4, 8)
     n_feasible = 0
@@ -412,8 +485,12 @@ def test_evaluate_grid_matches_scalar_pointwise():
                     assert np.isnan(ge.resource[i, j, k])
                     assert np.isnan(ge.utility[i, j, k])
                     assert np.isnan(ge.snr_linear[i, j, k])
-    # the chosen environment really exercises both branches
-    assert 0 < n_feasible < t_d.size * f_t.size * n_h.size
+    # each environment hits the branch it is chosen for: every point
+    # feasible, or both branches
+    if all_feasible:
+        assert n_feasible == t_d.size * f_t.size * n_h.size
+    else:
+        assert 0 < n_feasible < t_d.size * f_t.size * n_h.size
 
 
 def test_evaluate_grid_rejects_bad_element_counts():
@@ -428,7 +505,7 @@ def test_evaluate_grid_rejects_bad_element_counts():
 
 
 # ---------------------------------------------------------------------------
-# validation and the derived radar constant
+# validation
 
 
 @pytest.mark.parametrize("build", [
@@ -455,20 +532,3 @@ def test_evaluate_grid_rejects_bad_element_counts():
 def test_invalid_parameters_raise(build):
     with pytest.raises(ValueError):
         build()
-
-
-def test_derive_k_rad_link_budget():
-    base = derive_k_rad(p_avg=1.0, wavelength=1.0, eta=1.0, n_vt=1.0,
-                        n_h_total=1.0, t0=1.0, noise_figure=1.0, losses=1.0)
-    assert base == pytest.approx(1.0 / (64.0 * math.pi * 1.380649e-23),
-                                 rel=1e-14)
-    assert derive_k_rad(2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0) == \
-        pytest.approx(2 * base, rel=1e-14)
-    assert derive_k_rad(1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0) == \
-        pytest.approx(4 * base, rel=1e-14)
-    assert derive_k_rad(1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0) == \
-        pytest.approx(4 * base, rel=1e-14)
-    assert derive_k_rad(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0) == \
-        pytest.approx(base / 2, rel=1e-14)
-    with pytest.raises(ValueError):
-        derive_k_rad(0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
