@@ -45,6 +45,7 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .experiment import (
+    HISTOGRAM_GRID,
     SCHEMA_HEADER,
     _atomic_write,
     fmt_error_mrad,
@@ -55,8 +56,6 @@ from .experiment import (
 from .qram import allocate, build_majorant, enumerate_setpoints
 from .radar_model import ControlPoint, Environment, evaluate, linear_to_db
 from .scenario import generate_scene
-
-HISTOGRAM_GRID = "split"  # grid whose element histogram sweep writes
 
 
 def _load(parser: argparse.ArgumentParser, path: str | None) -> RunConfig:
@@ -171,20 +170,25 @@ def cmd_eval(parser: argparse.ArgumentParser,
 
     cp = ControlPoint(t_d=args.td * 1e-3, f_t=args.ft, n_h=args.nh)
 
-    def env_at(range_km: float) -> Environment:
-        return Environment(range=range_km * 1e3,
-                           bearing=math.radians(args.bearing),
-                           rcs=10.0 ** (args.rcs / 10.0),
-                           maneuver_std=args.maneuver_std,
-                           corr_time=args.corr_time)
+    def evaluate_at(range_km: float):
+        env = Environment(range=range_km * 1e3,
+                          bearing=math.radians(args.bearing),
+                          rcs=10.0 ** (args.rcs / 10.0),
+                          maneuver_std=args.maneuver_std,
+                          corr_time=args.corr_time)
+        try:
+            return evaluate(cp, env, consts, cfg.utility)
+        except ValueError as exc:
+            parser.error(f"at range {range_km:g} km the track-sharpness "
+                         f"root is outside the solver's range ({exc})")
 
     if args.range_sweep is not None:
         for km in args.range_sweep:
-            ev = evaluate(cp, env_at(km), consts, cfg.utility)
-            row = {"range_km": round(km, 6), **_evaluation_json(ev)}
+            row = {"range_km": round(km, 6),
+                   **_evaluation_json(evaluate_at(km))}
             print(json.dumps(row))
         return 0
-    ev = evaluate(cp, env_at(args.range), consts, cfg.utility)
+    ev = evaluate_at(args.range)
     print(json.dumps(_evaluation_json(ev), indent=2))
     return 0
 
@@ -265,8 +269,7 @@ def cmd_sweep(parser: argparse.ArgumentParser,
                      f"{list(cfg.sweep.grid_names)}")
     result = sweep(cfg.sweep, cfg.radar, cfg.utility, threads=threads)
     written = write_sweep_outputs(result, args.out,
-                                  histogram_budgets=cfg.histogram_budgets,
-                                  histogram_grid=HISTOGRAM_GRID)
+                                  histogram_budgets=cfg.histogram_budgets)
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 

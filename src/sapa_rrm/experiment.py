@@ -34,6 +34,7 @@ from .radar_model import RadarConstants, UtilityShape
 from .scenario import Scene, SceneConfig, generate_scene
 
 SCHEMA_HEADER = "# sapa-rrm v1"
+HISTOGRAM_GRID = "split"  # grid whose element histogram a sweep writes
 
 # fixed output precisions; aggregation uses the same rounding so that
 # CSV round-trips are exact
@@ -102,12 +103,6 @@ class SweepConfig:
     def grid_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.grids)
 
-    def grid(self, name: str) -> ControlGrid:
-        for n, g in self.grids:
-            if n == name:
-                return g
-        raise KeyError(f"unknown grid {name!r}")
-
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -156,7 +151,6 @@ class RunRecord:
     """All cells of one Monte Carlo run."""
 
     run_index: int
-    seed: int
     cells: dict[tuple[str, float], RunMetrics]  # (grid name, budget)
 
 
@@ -301,7 +295,7 @@ def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
         for name, _ in cfg.grids:
             for b, metrics in zip(cfg.budgets, table[(r, name)]):
                 cells[(name, b)] = metrics
-        runs.append(RunRecord(run_index=r, seed=seeds[r], cells=cells))
+        runs.append(RunRecord(run_index=r, cells=cells))
     aggregate = aggregate_runs([rec.cells for rec in runs],
                                cfg.budgets, cfg.grid_names)
     return SweepResult(config=cfg, run_seeds=seeds, runs=tuple(runs),
@@ -357,15 +351,16 @@ def _run_csv(record: RunRecord, budgets: Sequence[float],
     return "\n".join(lines) + "\n"
 
 
-def write_sweep_outputs(result: SweepResult, out_dir: str | Path,
-                        histogram_budgets: Sequence[float] = (),
-                        histogram_grid: str = "split") -> list[Path]:
+def write_sweep_outputs(
+        result: SweepResult, out_dir: str | Path,
+        histogram_budgets: Sequence[float] = ()) -> list[Path]:
     """Persist a sweep: aggregate CSV per metric plus per-run files.
 
     All writes go through a temp-file rename from this single caller,
     so readers never observe partial files.  The element histogram is
-    emitted for the requested budgets of one grid; budgets outside the
-    sweep or a missing grid produce a header-only file.
+    emitted for the requested budgets of the HISTOGRAM_GRID grid;
+    budgets outside the sweep or a sweep without that grid produce a
+    header-only file.
 
     Returns:
         The written paths.
@@ -391,9 +386,9 @@ def write_sweep_outputs(result: SweepResult, out_dir: str | Path,
                      fmt_error_mrad))
     hist_budgets = tuple(b for b in budgets
                          if any(math.isclose(b, h) for h in histogram_budgets)
-                         and histogram_grid in names)
+                         and HISTOGRAM_GRID in names)
     emit(out / "element_histogram.csv",
-         _histogram_csv(agg, hist_budgets, histogram_grid))
+         _histogram_csv(agg, hist_budgets, HISTOGRAM_GRID))
     for record in result.runs:
         emit(runs_dir / f"run_{record.run_index}.csv",
              _run_csv(record, budgets, names))

@@ -50,7 +50,7 @@ class ControlGrid:
                 raise ValueError(f"{name} must be non-empty")
             if not _strictly_increasing(values):
                 raise ValueError(f"{name} must be strictly increasing")
-        if self.t_d_values[0] <= 0.0 or self.f_t_values[0] <= 0.0:
+        if not (self.t_d_values[0] > 0.0 and self.f_t_values[0] > 0.0):
             raise ValueError("control values must be positive")
         if self.n_h_values[0] < 1:
             raise ValueError("n_h values must be at least 1")
@@ -72,41 +72,30 @@ class SetPoint:
     utility: float           # unweighted u in [0, 1]
 
 
-class TaskSetPoints(Sequence):
+@dataclass(frozen=True, eq=False)
+class TaskSetPoints:
     """Feasible set-points of one task, stored as arrays.
 
-    Behaves as a read-only sequence of SetPoint while keeping the bulk
-    data in numpy arrays; a 200-task scene over the default split grid
-    holds ~10 million candidates, far too many for per-point objects.
-    Order is deterministic: t_d-major, then f_t, then n_h.
+    A 200-task scene over the default split grid holds ~10 million
+    candidates, far too many for per-point objects; indexing decodes one
+    entry into a SetPoint.  Order is deterministic: t_d-major, then f_t,
+    then n_h.
     """
 
-    def __init__(self, grid: ControlGrid, weight: float,
-                 flat_index: np.ndarray, resource: np.ndarray,
-                 weighted_utility: np.ndarray, quality: np.ndarray,
-                 utility: np.ndarray) -> None:
-        self.grid = grid
-        self.weight = weight
-        self.flat_index = flat_index
-        self.resource = resource
-        self.weighted_utility = weighted_utility
-        self.quality = quality
-        self.utility = utility
+    grid: ControlGrid
+    flat_index: np.ndarray        # position in the flattened grid
+    resource: np.ndarray
+    weighted_utility: np.ndarray
+    quality: np.ndarray
+    utility: np.ndarray
 
     def __len__(self) -> int:
         return int(self.flat_index.shape[0])
 
     def __getitem__(self, i: int) -> SetPoint:
-        if not isinstance(i, (int, np.integer)):
-            raise TypeError("TaskSetPoints supports integer indexing only")
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("set-point index out of range")
         nf = len(self.grid.f_t_values)
         nn = len(self.grid.n_h_values)
-        flat = int(self.flat_index[i])
-        it, rem = divmod(flat, nf * nn)
+        it, rem = divmod(int(self.flat_index[i]), nf * nn)
         jf, kn = divmod(rem, nn)
         control = ControlPoint(t_d=self.grid.t_d_values[it],
                                f_t=self.grid.f_t_values[jf],
@@ -133,7 +122,7 @@ def enumerate_setpoints(env: Environment, weight: float, grid: ControlGrid,
         The feasible candidates in t_d-major order; empty when the
         target is undetectable at every grid point.
     """
-    if weight <= 0.0:
+    if not weight > 0.0:
         raise ValueError("weight must be positive")
     ge = evaluate_grid(np.asarray(grid.t_d_values),
                        np.asarray(grid.f_t_values),
@@ -142,7 +131,6 @@ def enumerate_setpoints(env: Environment, weight: float, grid: ControlGrid,
     flat = np.nonzero(ge.feasible.ravel())[0]
     return TaskSetPoints(
         grid=grid,
-        weight=weight,
         flat_index=flat,
         resource=ge.resource.ravel()[flat],
         weighted_utility=weight * ge.utility.ravel()[flat],
@@ -162,15 +150,6 @@ class ConcaveMajorant:
     """
 
     points: tuple[SetPoint, ...] = field(default_factory=tuple)
-
-
-def _point_arrays(points) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(points, TaskSetPoints):
-        return points.resource, points.weighted_utility
-    pts = list(points)
-    g = np.array([p.resource for p in pts], dtype=np.float64)
-    wu = np.array([p.weighted_utility for p in pts], dtype=np.float64)
-    return g, wu
 
 
 def _hull_indices(g: np.ndarray, wu: np.ndarray) -> list[int]:
@@ -213,19 +192,15 @@ def _hull_indices(g: np.ndarray, wu: np.ndarray) -> list[int]:
     return hull
 
 
-def build_majorant(points) -> ConcaveMajorant:
+def build_majorant(points: TaskSetPoints) -> ConcaveMajorant:
     """Concave majorant of a task's set-points.
-
-    Args:
-        points: sequence of SetPoint (a TaskSetPoints works and is fast).
 
     Returns:
         The hull; only the implicit origin when points is empty or no
         point has positive weighted utility.
     """
-    g, wu = _point_arrays(points)
-    return ConcaveMajorant(points=tuple(points[i]
-                                        for i in _hull_indices(g, wu)))
+    hull = _hull_indices(points.resource, points.weighted_utility)
+    return ConcaveMajorant(points=tuple(points[i] for i in hull))
 
 
 @dataclass(frozen=True)
@@ -243,7 +218,10 @@ class AllocationResult:
     assignments: tuple[Assignment | None, ...]
     total_resource: float
     total_utility: float
-    active_track_count: int
+
+    @property
+    def active_track_count(self) -> int:
+        return sum(a is not None for a in self.assignments)
 
 
 def _sorted_segments(majorants: Sequence[ConcaveMajorant]):
@@ -275,20 +253,12 @@ def _greedy_scan(majorants: Sequence[ConcaveMajorant], segments,
             total_wu += dwu
             next_seg[ti] = si + 1
             last_vertex[ti] = si
-    assignments: list[Assignment | None] = []
-    active = 0
-    for ti, mj in enumerate(majorants):
-        vi = last_vertex[ti]
-        if vi < 0:
-            assignments.append(None)
-        else:
-            assignments.append(Assignment(set_point=mj.points[vi],
-                                          vertex_index=vi))
-            active += 1
-    return AllocationResult(assignments=tuple(assignments),
-                            total_resource=used,
-                            total_utility=total_wu,
-                            active_track_count=active)
+    assignments = tuple(
+        None if vi < 0 else Assignment(set_point=mj.points[vi],
+                                       vertex_index=vi)
+        for mj, vi in zip(majorants, last_vertex))
+    return AllocationResult(assignments=assignments, total_resource=used,
+                            total_utility=total_wu)
 
 
 def allocate(majorants: Sequence[ConcaveMajorant],
@@ -308,21 +278,20 @@ def allocate(majorants: Sequence[ConcaveMajorant],
     Returns:
         AllocationResult with total_resource <= r_tot exactly.
     """
-    if r_tot <= 0.0:
-        raise ValueError("r_tot must be positive")
-    return _greedy_scan(majorants, _sorted_segments(majorants), r_tot)
+    return allocate_many(majorants, (r_tot,))[0]
 
 
 def allocate_many(majorants: Sequence[ConcaveMajorant],
                   budgets: Sequence[float]) -> list[AllocationResult]:
     """allocate() for several budgets, sorting the segment list once."""
-    if any(b <= 0.0 for b in budgets):
+    if any(not b > 0.0 for b in budgets):
         raise ValueError("budgets must be positive")
     segments = _sorted_segments(majorants)
     return [_greedy_scan(majorants, segments, b) for b in budgets]
 
 
-def brute_force_allocate(setpoint_lists, r_tot: float) -> AllocationResult:
+def brute_force_allocate(tasks: Sequence[TaskSetPoints],
+                         r_tot: float) -> AllocationResult:
     """Exhaustive multiple-choice knapsack over raw set-points.
 
     Every task independently picks one of its set-points or nothing;
@@ -330,15 +299,16 @@ def brute_force_allocate(setpoint_lists, r_tot: float) -> AllocationResult:
     returned.  Intended as an optimality oracle for small instances.
 
     Args:
-        setpoint_lists: per-task sequences of SetPoint.
+        tasks: one TaskSetPoints per task.
         r_tot: radar time budget, > 0.
 
     Raises:
-        ValueError: when the product of (list sizes + 1) exceeds 1e7.
+        ValueError: when the product of (set-point counts + 1) exceeds
+            1e7.
     """
-    if r_tot <= 0.0:
+    if not r_tot > 0.0:
         raise ValueError("r_tot must be positive")
-    sizes = [len(pts) + 1 for pts in setpoint_lists]
+    sizes = [len(pts) + 1 for pts in tasks]
     combos = 1
     for s in sizes:
         combos *= s
@@ -348,26 +318,19 @@ def brute_force_allocate(setpoint_lists, r_tot: float) -> AllocationResult:
 
     total_g = np.zeros(1, dtype=np.float64)
     total_wu = np.zeros(1, dtype=np.float64)
-    for pts in setpoint_lists:
-        g_opts = np.concatenate(([0.0], [p.resource for p in pts]))
-        wu_opts = np.concatenate(([0.0], [p.weighted_utility for p in pts]))
+    for pts in tasks:
+        g_opts = np.concatenate(([0.0], pts.resource))
+        wu_opts = np.concatenate(([0.0], pts.weighted_utility))
         total_g = (total_g[:, None] + g_opts[None, :]).ravel()
         total_wu = (total_wu[:, None] + wu_opts[None, :]).ravel()
 
     feasible_wu = np.where(total_g <= r_tot, total_wu, -1.0)
     best = int(np.argmax(feasible_wu))
     choice = np.unravel_index(best, sizes)
-
-    assignments: list[Assignment | None] = []
-    active = 0
-    for pts, opt in zip(setpoint_lists, choice):
-        if opt == 0:
-            assignments.append(None)
-        else:
-            assignments.append(Assignment(set_point=pts[opt - 1],
-                                          vertex_index=int(opt - 1)))
-            active += 1
-    return AllocationResult(assignments=tuple(assignments),
+    assignments = tuple(
+        None if opt == 0 else Assignment(set_point=pts[opt - 1],
+                                         vertex_index=int(opt - 1))
+        for pts, opt in zip(tasks, choice))
+    return AllocationResult(assignments=assignments,
                             total_resource=float(total_g[best]),
-                            total_utility=float(total_wu[best]),
-                            active_track_count=active)
+                            total_utility=float(total_wu[best]))

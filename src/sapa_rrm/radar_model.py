@@ -40,15 +40,15 @@ class RadarConstants:
     snr_cap_db: float = 40.0      # accuracy credit saturates at this SN0
 
     def __post_init__(self) -> None:
-        if self.k_rad <= 0.0:
+        if not self.k_rad > 0.0:
             raise ValueError("k_rad must be positive")
-        if self.n_h_total < 1:
+        if not self.n_h_total >= 1:
             raise ValueError("n_h_total must be at least 1")
         if not 0.0 < self.p_fa < 1.0:
             raise ValueError("p_fa must lie in (0, 1)")
-        if self.alpha_bw <= 0.0:
+        if not self.alpha_bw > 0.0:
             raise ValueError("alpha_bw must be positive")
-        if self.snr_floor_db >= self.snr_cap_db:
+        if not self.snr_floor_db < self.snr_cap_db:
             raise ValueError("snr_floor_db must be below snr_cap_db")
 
     @property
@@ -69,11 +69,11 @@ class ControlPoint:
     n_h: int     # horizontal elements assigned to the task
 
     def __post_init__(self) -> None:
-        if self.t_d <= 0.0:
+        if not self.t_d > 0.0:
             raise ValueError("t_d must be positive")
-        if self.f_t <= 0.0:
+        if not self.f_t > 0.0:
             raise ValueError("f_t must be positive")
-        if self.n_h < 1:
+        if not self.n_h >= 1:
             raise ValueError("n_h must be at least 1")
 
 
@@ -88,15 +88,15 @@ class Environment:
     corr_time: float     # Singer correlation time [s]
 
     def __post_init__(self) -> None:
-        if self.range <= 0.0:
+        if not self.range > 0.0:
             raise ValueError("range must be positive")
         if not abs(self.bearing) < math.pi / 2.0:
             raise ValueError("bearing must lie strictly inside (-pi/2, pi/2)")
-        if self.rcs <= 0.0:
+        if not self.rcs > 0.0:
             raise ValueError("rcs must be positive")
-        if self.maneuver_std <= 0.0:
+        if not self.maneuver_std > 0.0:
             raise ValueError("maneuver_std must be positive")
-        if self.corr_time <= 0.0:
+        if not self.corr_time > 0.0:
             raise ValueError("corr_time must be positive")
 
 

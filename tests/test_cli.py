@@ -110,6 +110,10 @@ def test_eval_range_sweep_emits_one_line_per_range(capsys):
     EVAL_BASE + ["--range-sweep", "100:200:1"],
     EVAL_BASE + ["--range-sweep", "a:b:c"],
     EVAL_BASE + ["--range", "50", "--config", "/no/such/file.json"],
+    # the track-sharpness root leaves the bisection bracket
+    EVAL_BASE + ["--range", "1e-70"],
+    ["eval", "--maneuver-std", "1e-300", "--corr-time", "4", "--td", "20",
+     "--ft", "1", "--nh", "48", "--range", "50"],
 ])
 def test_eval_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

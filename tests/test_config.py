@@ -65,7 +65,7 @@ def test_default_sweep_plan():
     assert budgets[49] == 0.5
     assert cfg.sweep.n_mc == 100
     assert cfg.sweep.grid_names == ("split", "full")
-    assert cfg.sweep.grid("split") == cfg.grid("split")
+    assert dict(cfg.sweep.grids)["split"] == cfg.grid("split")
     assert cfg.sweep.scene == cfg.scene
     assert cfg.histogram_budgets == (0.1, 0.2, 0.3, 0.4)
 

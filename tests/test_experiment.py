@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -238,8 +239,7 @@ def test_utility_grows_with_budget(small_result):
 
 def test_written_layout_and_ordering(small_result, tmp_path):
     written = write_sweep_outputs(small_result, tmp_path,
-                                  histogram_budgets=(0.2, 0.4),
-                                  histogram_grid="split")
+                                  histogram_budgets=(0.2, 0.4))
     names = sorted(p.relative_to(tmp_path).as_posix() for p in written)
     assert names == ["active_tracks.csv", "element_histogram.csv",
                      "mean_angular_error_mrad.csv", "runs/run_0.csv",
@@ -258,18 +258,17 @@ def test_written_layout_and_ordering(small_result, tmp_path):
     assert [int(r[1]) for r in hist_rows[:8]] == list(SPLIT.n_h_values)
 
 
-def test_histogram_file_is_header_only_without_matching_grid(
-        small_result, tmp_path):
-    write_sweep_outputs(small_result, tmp_path,
-                        histogram_budgets=(0.2,), histogram_grid="none")
+def test_histogram_file_is_header_only_without_matching_grid(tmp_path):
+    full_only = replace(SMALL_SWEEP, grids=(("full", FULL),), n_mc=1)
+    write_sweep_outputs(sweep(full_only, CONSTS, SHAPE, threads=1),
+                        tmp_path, histogram_budgets=(0.2,))
     lines = (tmp_path / "element_histogram.csv").read_text().splitlines()
     assert lines == ["# sapa-rrm v1", "budget,n_h,mean_count"]
 
 
 def test_csv_round_trip_reproduces_aggregate_exactly(small_result,
                                                      tmp_path):
-    write_sweep_outputs(small_result, tmp_path,
-                        histogram_budgets=(0.2,), histogram_grid="split")
+    write_sweep_outputs(small_result, tmp_path, histogram_budgets=(0.2,))
     back = read_runs(tmp_path)
     assert len(back) == 3
     agg = aggregate_runs(back, SMALL_SWEEP.budgets,

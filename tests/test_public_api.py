@@ -1,14 +1,20 @@
 """The package's public names are exactly what its users import.
 
 The demos and the README's Python examples are the documented users of
-``sapa_rrm``; they are parsed, not run.
+``sapa_rrm``; they are parsed, not run.  The benchmark's tracer is a
+user too: it wraps module attributes by name and counts what the
+wrapped calls return.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 import sapa_rrm
+from sapa_rrm.qram import ControlGrid, build_majorant, enumerate_setpoints
+from sapa_rrm.radar_model import Environment, RadarConstants, UtilityShape
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +48,36 @@ def test_documented_imports_are_public():
 def test_every_public_name_resolves():
     for name in sapa_rrm.__all__:
         assert hasattr(sapa_rrm, name), name
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_points_and_counters_resolve():
+    # a trace point whose attribute is gone would read zero, not fail
+    tracing = load_tracing()
+    for mod_name, attr, span_name, _counter in tracing.TRACE_POINTS:
+        module = importlib.import_module(mod_name)
+        assert callable(getattr(module, attr, None)), \
+            f"{span_name}: {mod_name}.{attr} does not resolve"
+
+    grid = ControlGrid(t_d_values=(4e-3, 20e-3), f_t_values=(0.5, 2.0),
+                       n_h_values=(12, 48))
+    env = Environment(range=60e3, bearing=0.2, rcs=1.0, maneuver_std=10.0,
+                      corr_time=4.0)
+    args = (env, 0.5, grid, RadarConstants(), UtilityShape())
+    points = enumerate_setpoints(*args)
+    counts = tracing._count_setpoints(args, {}, points)
+    assert counts["grid_points"] == grid.size == 8
+    assert 0 < counts["feasible"] == len(points) <= grid.size
+    assert counts["u_one"] + counts["u_zero"] <= counts["feasible"]
+    majorant = build_majorant(points)
+    counts = tracing._count_majorant((points,), {}, majorant)
+    assert counts == {"in_points": len(points),
+                      "vertices": len(majorant.points)}
+    assert counts["vertices"] > 0

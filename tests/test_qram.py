@@ -16,6 +16,7 @@ from sapa_rrm.qram import (
     ConcaveMajorant,
     ControlGrid,
     SetPoint,
+    TaskSetPoints,
     allocate,
     allocate_many,
     brute_force_allocate,
@@ -52,6 +53,17 @@ def sp(g, wu):
     """Bare set-point for solver tests; control fields are irrelevant."""
     return SetPoint(control=ControlPoint(t_d=1.0, f_t=1.0, n_h=1),
                     resource=g, weighted_utility=wu, quality=0.0, utility=wu)
+
+
+def cloud(pairs):
+    """Bare (g, wu) set-points of one task on a 1x1xn grid; as in sp, the
+    control fields are irrelevant."""
+    g, wu = np.array(list(pairs), dtype=np.float64).reshape(-1, 2).T
+    grid = ControlGrid(t_d_values=(1.0,), f_t_values=(1.0,),
+                       n_h_values=tuple(range(1, max(g.size, 1) + 1)))
+    return TaskSetPoints(grid=grid, flat_index=np.arange(g.size),
+                         resource=g, weighted_utility=wu,
+                         quality=np.zeros(g.size), utility=wu)
 
 
 def hull_value(majorant, x):
@@ -159,7 +171,7 @@ def test_task_setpoints_indexing():
 
 
 def test_majorant_hand_example():
-    pts = [sp(0.05, 0.2), sp(0.1, 0.5), sp(0.2, 0.6), sp(0.3, 0.9)]
+    pts = cloud([(0.05, 0.2), (0.1, 0.5), (0.2, 0.6), (0.3, 0.9)])
     mj = build_majorant(pts)
     assert [(p.resource, p.weighted_utility) for p in mj.points] == \
         [(0.1, 0.5), (0.3, 0.9)]
@@ -169,18 +181,18 @@ def test_majorant_hand_example():
 
 
 def test_majorant_drops_dominated_and_zero_points():
-    pts = [sp(0.1, 0.5), sp(0.1, 0.4), sp(0.15, 0.5), sp(0.2, 0.0)]
+    pts = cloud([(0.1, 0.5), (0.1, 0.4), (0.15, 0.5), (0.2, 0.0)])
     mj = build_majorant(pts)
     assert [(p.resource, p.weighted_utility) for p in mj.points] == \
         [(0.1, 0.5)]
-    assert build_majorant([]).points == ()
-    assert build_majorant([sp(0.3, 0.0)]).points == ()
+    assert build_majorant(cloud([])).points == ()
+    assert build_majorant(cloud([(0.3, 0.0)])).points == ()
 
 
 def test_majorant_drops_collinear_interior_vertex():
     # powers of two keep the chord test exact: (0.25, 0.25) sits on the
     # chord from the origin to (0.5, 0.5)
-    pts = [sp(0.25, 0.25), sp(0.5, 0.5), sp(0.75, 0.625)]
+    pts = cloud([(0.25, 0.25), (0.5, 0.5), (0.75, 0.625)])
     mj = build_majorant(pts)
     assert [(p.resource, p.weighted_utility) for p in mj.points] == \
         [(0.5, 0.5), (0.75, 0.625)]
@@ -188,9 +200,8 @@ def test_majorant_drops_collinear_interior_vertex():
 
 @given(point_clouds)
 @settings(deadline=None, max_examples=150)
-def test_majorant_structure_and_dominance(cloud):
-    pts = [sp(g, wu) for g, wu in cloud]
-    mj = build_majorant(pts)
+def test_majorant_structure_and_dominance(pairs):
+    mj = build_majorant(cloud(pairs))
     gs = [p.resource for p in mj.points]
     wus = [p.weighted_utility for p in mj.points]
     assert gs == sorted(gs)
@@ -200,7 +211,7 @@ def test_majorant_structure_and_dominance(cloud):
     marginals = [m for _, _, m in segments(mj)]
     assert all(b < a + 1e-12 for a, b in zip(marginals, marginals[1:]))
     # the hull majorizes every input point
-    for g, wu in cloud:
+    for g, wu in pairs:
         assert hull_value(mj, g) >= wu - 1e-12
 
 
@@ -291,9 +302,8 @@ def test_allocate_totals_match_assignments():
     rng = np.random.default_rng(11)
     majorants = []
     for _ in range(6):
-        cloud = [sp(g, wu) for g, wu in
-                 zip(rng.uniform(0.01, 0.4, 12), rng.uniform(0, 1, 12))]
-        majorants.append(build_majorant(cloud))
+        pts = cloud(zip(rng.uniform(0.01, 0.4, 12), rng.uniform(0, 1, 12)))
+        majorants.append(build_majorant(pts))
     res = allocate(majorants, 0.8)
     chosen = [a.set_point for a in res.assignments if a is not None]
     assert res.total_resource <= 0.8
@@ -307,9 +317,8 @@ def test_allocate_totals_match_assignments():
 def test_allocate_utility_monotone_in_budget():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        majorants = [build_majorant([sp(g, wu) for g, wu in
-                                     zip(rng.uniform(0.01, 0.5, 10),
-                                         rng.uniform(0, 1, 10))])
+        majorants = [build_majorant(cloud(zip(rng.uniform(0.01, 0.5, 10),
+                                              rng.uniform(0, 1, 10))))
                      for _ in range(4)]
         budgets = np.sort(rng.uniform(0.05, 1.5, 8))
         utilities = [allocate(majorants, float(b)).total_utility
@@ -319,9 +328,8 @@ def test_allocate_utility_monotone_in_budget():
 
 def test_allocate_many_equals_repeated_allocate():
     rng = np.random.default_rng(5)
-    majorants = [build_majorant([sp(g, wu) for g, wu in
-                                 zip(rng.uniform(0.01, 0.5, 15),
-                                     rng.uniform(0, 1, 15))])
+    majorants = [build_majorant(cloud(zip(rng.uniform(0.01, 0.5, 15),
+                                          rng.uniform(0, 1, 15))))
                  for _ in range(5)]
     budgets = [0.1, 0.35, 0.8, 1.0]
     batch = allocate_many(majorants, budgets)
@@ -342,8 +350,8 @@ def test_allocate_many_equals_repeated_allocate():
 
 
 def test_brute_force_exact_on_hand_instance():
-    a = [sp(0.3, 0.4), sp(0.5, 0.9)]
-    b = [sp(0.2, 0.5)]
+    a = cloud([(0.3, 0.4), (0.5, 0.9)])
+    b = cloud([(0.2, 0.5)])
     opt = brute_force_allocate([a, b], 0.7)
     assert opt.total_utility == pytest.approx(1.4)
     assert opt.total_resource == pytest.approx(0.7)
@@ -352,12 +360,12 @@ def test_brute_force_exact_on_hand_instance():
 
 
 def test_brute_force_respects_budget_and_cap():
-    a = [sp(0.3, 0.4), sp(0.5, 0.9)]
+    a = cloud([(0.3, 0.4), (0.5, 0.9)])
     opt = brute_force_allocate([a], 0.4)
     assert opt.total_utility == pytest.approx(0.4)
     assert opt.total_resource <= 0.4
     with pytest.raises(ValueError):
-        brute_force_allocate([[sp(0.1, 0.1)] * 60] * 4, 0.5)
+        brute_force_allocate([cloud([(0.1, 0.1)] * 60)] * 4, 0.5)
     with pytest.raises(ValueError):
         brute_force_allocate([a], -1.0)
 
@@ -365,8 +373,7 @@ def test_brute_force_respects_budget_and_cap():
 def test_greedy_within_one_segment_of_optimum():
     rng = np.random.default_rng(31)
     for _ in range(25):
-        lists = [[sp(g, wu) for g, wu in
-                  zip(rng.uniform(0.02, 0.4, 6), rng.uniform(0, 1, 6))]
+        lists = [cloud(zip(rng.uniform(0.02, 0.4, 6), rng.uniform(0, 1, 6)))
                  for _ in range(3)]
         majorants = [build_majorant(pts) for pts in lists]
         budget = float(rng.uniform(0.05, 1.0))
@@ -376,3 +383,48 @@ def test_greedy_within_one_segment_of_optimum():
         max_seg = max((s[4] for s in _sorted_segments(majorants)),
                       default=0.0)
         assert greedy.total_utility >= opt.total_utility - max_seg - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# NaN inputs: every model and solver check is written so that NaN fails it
+
+NAN = math.nan
+ONE_HULL = [ConcaveMajorant(points=(sp(0.5, 1.0),))]
+
+
+def env_with(**kwargs):
+    fields = dict(range=50e3, bearing=0.0, rcs=1.0, maneuver_std=10.0,
+                  corr_time=4.0)
+    return Environment(**{**fields, **kwargs})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ControlPoint(t_d=NAN, f_t=1.0, n_h=48),
+    lambda: ControlPoint(t_d=0.02, f_t=NAN, n_h=48),
+    lambda: ControlPoint(t_d=0.02, f_t=1.0, n_h=NAN),
+    lambda: env_with(range=NAN),
+    lambda: env_with(rcs=NAN),
+    lambda: env_with(maneuver_std=NAN),
+    lambda: env_with(corr_time=NAN),
+    lambda: RadarConstants(k_rad=NAN),
+    lambda: RadarConstants(n_h_total=NAN),
+    lambda: RadarConstants(alpha_bw=NAN),
+    lambda: RadarConstants(snr_floor_db=NAN),
+    lambda: RadarConstants(snr_cap_db=NAN),
+    lambda: ControlGrid(t_d_values=(NAN,), f_t_values=(1.0,),
+                        n_h_values=(48,)),
+    lambda: ControlGrid(t_d_values=(0.02,), f_t_values=(NAN,),
+                        n_h_values=(48,)),
+    lambda: enumerate_setpoints(NEAR_ENV, NAN, SMALL_GRID, CONSTS, SHAPE),
+    lambda: allocate(ONE_HULL, NAN),
+    lambda: allocate_many(ONE_HULL, [0.5, NAN]),
+    lambda: brute_force_allocate([cloud([(0.5, 1.0)])], NAN),
+], ids=["cp.t_d", "cp.f_t", "cp.n_h", "env.range", "env.rcs",
+        "env.maneuver_std", "env.corr_time", "consts.k_rad",
+        "consts.n_h_total", "consts.alpha_bw", "consts.snr_floor_db",
+        "consts.snr_cap_db", "grid.t_d_values", "grid.f_t_values",
+        "enumerate.weight", "allocate.r_tot", "allocate_many.budgets",
+        "brute_force.r_tot"])
+def test_nan_input_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
