@@ -6,8 +6,8 @@ Subcommands
     sweep     Monte Carlo budget sweep, aggregate and per-run CSV out
 
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or validation
-failure.  The environment variable SAPA_RRM_THREADS caps sweep
-parallelism (unset or 0 picks one worker per CPU).
+failure.  sweep --threads N sets the worker count (0 or no flag picks
+one worker per CPU).
 
 Output schemas (all files start with the version line "# sapa-rrm v1",
 UTF-8, LF line endings):
@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,10 +49,10 @@ from .experiment import (
     _atomic_write,
     fmt_error_mrad,
     fmt_utility,
+    solve_scene,
     sweep,
     write_sweep_outputs,
 )
-from .qram import allocate, build_majorant, enumerate_setpoints
 from .radar_model import ControlPoint, Environment, evaluate, linear_to_db
 from .scenario import generate_scene
 
@@ -67,19 +66,6 @@ def _load(parser: argparse.ArgumentParser, path: str | None) -> RunConfig:
         parser.error(f"--config: no such file: {path}")
     except ConfigError as exc:
         parser.error(f"--config: {exc}")
-
-
-def _threads_from_env(parser: argparse.ArgumentParser) -> int | None:
-    raw = os.environ.get("SAPA_RRM_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        parser.error(f"SAPA_RRM_THREADS: not an integer: {raw!r}")
-    if value < 0:
-        parser.error("SAPA_RRM_THREADS: must be >= 0")
-    return value
 
 
 def _evaluation_json(ev) -> dict:
@@ -207,11 +193,8 @@ def cmd_allocate(parser: argparse.ArgumentParser,
     if args.scene_seed is not None:
         scene_cfg = replace(scene_cfg, seed=args.scene_seed)
     scene = generate_scene(scene_cfg)
-
-    majorants = [build_majorant(enumerate_setpoints(
-        task.environment, task.weight, grid, cfg.radar, cfg.utility))
-        for task in scene.tasks]
-    result = allocate(majorants, args.budget)
+    [result] = solve_scene(scene, grid, (args.budget,), cfg.radar,
+                           cfg.utility)
 
     lines = [SCHEMA_HEADER,
              "task,weight,range_km,bearing_deg,rcs_dbsm,maneuver_std,"
@@ -259,15 +242,13 @@ def cmd_allocate(parser: argparse.ArgumentParser,
 def cmd_sweep(parser: argparse.ArgumentParser,
               args: argparse.Namespace) -> int:
     cfg = _load(parser, args.config)
-    threads = (args.threads if args.threads is not None
-               else _threads_from_env(parser))
-    if threads is not None and threads < 0:
+    if args.threads is not None and args.threads < 0:
         parser.error("--threads must be >= 0")
     if HISTOGRAM_GRID not in cfg.sweep.grid_names:
         parser.error(f"--config: sweep.grids: the element histogram needs "
                      f"a grid named {HISTOGRAM_GRID!r}, got "
                      f"{list(cfg.sweep.grid_names)}")
-    result = sweep(cfg.sweep, cfg.radar, cfg.utility, threads=threads)
+    result = sweep(cfg.sweep, cfg.radar, cfg.utility, threads=args.threads)
     written = write_sweep_outputs(result, args.out,
                                   histogram_budgets=cfg.histogram_budgets)
     print(f"wrote {len(written)} files to {args.out}")
@@ -325,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True,
                          help="output directory")
     p_sweep.add_argument("--threads", type=int,
-                         help="worker threads (0 = auto; overrides "
-                              "SAPA_RRM_THREADS)")
+                         help="worker threads (default or 0: one per CPU)")
     return parser
 
 

@@ -65,6 +65,8 @@ SWEEP_DEFAULTS: dict[str, Any] = {
     "histogram_budgets": [0.1, 0.2, 0.3, 0.4],
 }
 
+MAX_AXIS_VALUES = 100_000  # per {start, step, stop} triple
+
 
 def _fail(key: str, constraint: str):
     raise ConfigError(f"{key}: {constraint}")
@@ -127,6 +129,8 @@ def _expand(key: str, value: Any, integer: bool = False) -> list:
         if stop < start:
             _fail(f"{key}.stop", "must be >= start")
         count_exact = (stop - start) / step
+        if not count_exact < MAX_AXIS_VALUES - 0.5:
+            _fail(key, f"triple gives more than {MAX_AXIS_VALUES} values")
         count = round(count_exact)
         if abs(count_exact - count) > 1e-9 * max(1.0, abs(count_exact)):
             _fail(key, "stop - start must be an integer multiple of step")

@@ -1,6 +1,6 @@
 """Monte Carlo budget sweeps comparing aperture allocation strategies.
 
-A sweep regenerates a random scene for every run, solves the allocation
+A sweep generates one random scene per run, solves the allocation
 problem over each named control grid for every budget in the sweep, and
 aggregates the per-run metrics (active tracks, total utility, mean
 angular error, element-count histogram) into means, standard deviations
@@ -113,9 +113,6 @@ class RunMetrics:
     mean_angular_error: float  # [rad] over allocated tasks; nan when none
     element_histogram: tuple[tuple[int, int], ...]  # (n_h, count) per bin
 
-    def histogram_dict(self) -> dict[int, int]:
-        return dict(self.element_histogram)
-
 
 @dataclass(frozen=True)
 class CellStats:
@@ -147,20 +144,12 @@ class AggregateMetrics:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    """All cells of one Monte Carlo run."""
-
-    run_index: int
-    cells: dict[tuple[str, float], RunMetrics]  # (grid name, budget)
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Everything a sweep produced: raw runs plus their aggregate."""
 
     config: SweepConfig
     run_seeds: tuple[int, ...]
-    runs: tuple[RunRecord, ...]
+    runs: tuple[dict[tuple[str, float], RunMetrics], ...]  # by run index
     aggregate: AggregateMetrics
 
 
@@ -180,10 +169,10 @@ def _metrics_from_allocation(result: AllocationResult,
                       element_histogram=tuple(sorted(counts.items())))
 
 
-def evaluate_scene(scene: Scene, grid: ControlGrid,
-                   budgets: Sequence[float], consts: RadarConstants,
-                   shape: UtilityShape) -> list[RunMetrics]:
-    """Solve one scene over one grid for several budgets.
+def solve_scene(scene: Scene, grid: ControlGrid, budgets: Sequence[float],
+                consts: RadarConstants,
+                shape: UtilityShape) -> list[AllocationResult]:
+    """Allocate one scene over one grid at each of several budgets.
 
     Set-points are enumerated and hulls built once; only the cheap
     greedy scan repeats per budget.
@@ -192,8 +181,15 @@ def evaluate_scene(scene: Scene, grid: ControlGrid,
                                                     task.weight, grid,
                                                     consts, shape))
                  for task in scene.tasks]
-    results = allocate_many(majorants, budgets)
-    return [_metrics_from_allocation(res, grid) for res in results]
+    return allocate_many(majorants, budgets)
+
+
+def evaluate_scene(scene: Scene, grid: ControlGrid,
+                   budgets: Sequence[float], consts: RadarConstants,
+                   shape: UtilityShape) -> list[RunMetrics]:
+    """Per-budget metrics of one scene solved over one grid."""
+    return [_metrics_from_allocation(res, grid)
+            for res in solve_scene(scene, grid, budgets, consts, shape)]
 
 
 def _cell_stats(values: np.ndarray) -> CellStats:
@@ -232,7 +228,7 @@ def aggregate_runs(runs: Sequence[Mapping[tuple[str, float], RunMetrics]],
                 np.array([round_error_mrad(m.mean_angular_error * 1e3)
                           for m in cells]))
             bins = [n for n, _ in cells[0].element_histogram]
-            counts = np.array([[m.histogram_dict()[n] for n in bins]
+            counts = np.array([[dict(m.element_histogram)[n] for n in bins]
                                for m in cells], dtype=np.float64)
             means = counts.mean(axis=0)
             hist[(name, b)] = tuple(zip(bins, (float(c) for c in means)))
@@ -245,20 +241,16 @@ def aggregate_runs(runs: Sequence[Mapping[tuple[str, float], RunMetrics]],
                             element_histogram=hist)
 
 
-def _auto_threads() -> int:
-    return min(32, os.cpu_count() or 1)
-
-
 def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
           shape: UtilityShape = UtilityShape(),
           threads: int | None = None) -> SweepResult:
     """Full Monte Carlo campaign: all runs, grids and budgets.
 
-    Each run regenerates the scene from a seed derived from
-    (cfg.scene.seed, run index); the same scene is solved over every
-    grid.  (run, grid) cells execute in parallel when threads allows;
-    the reduction iterates runs and grids in fixed order, so the result
-    does not depend on scheduling.
+    Each run's scene is generated once, in the calling thread, from a
+    seed derived from (cfg.scene.seed, run index), and solved over every
+    grid.  (run, grid) cells execute on a thread pool; the reduction
+    iterates runs and grids in fixed order, so the result does not
+    depend on scheduling.
 
     Args:
         cfg: campaign description.
@@ -266,39 +258,27 @@ def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
         threads: worker count; None or 0 picks one per CPU (capped).
 
     Returns:
-        SweepResult with per-run records and their aggregate.
+        SweepResult with per-run metric tables and their aggregate.
     """
     if threads is not None and threads < 0:
         raise ValueError("threads must be >= 0")
-    n_workers = _auto_threads() if not threads else threads
     seeds = tuple(derive_run_seed(cfg.scene.seed, r)
                   for r in range(cfg.n_mc))
-    jobs = [(r, name, grid) for r in range(cfg.n_mc)
-            for name, grid in cfg.grids]
+    scenes = [generate_scene(replace(cfg.scene, seed=s)) for s in seeds]
 
-    def work(job: tuple[int, str, ControlGrid]):
-        r, name, grid = job
-        scene = generate_scene(replace(cfg.scene, seed=seeds[r]))
+    def work(job: tuple[Scene, ControlGrid]) -> list[RunMetrics]:
+        scene, grid = job
         return evaluate_scene(scene, grid, cfg.budgets, consts, shape)
 
-    if n_workers == 1:
-        outputs = [work(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outputs = list(pool.map(work, jobs))
-
-    table: dict[tuple[int, str], list[RunMetrics]] = {
-        (r, name): out for (r, name, _), out in zip(jobs, outputs)}
-    runs = []
-    for r in range(cfg.n_mc):
-        cells: dict[tuple[str, float], RunMetrics] = {}
-        for name, _ in cfg.grids:
-            for b, metrics in zip(cfg.budgets, table[(r, name)]):
-                cells[(name, b)] = metrics
-        runs.append(RunRecord(run_index=r, cells=cells))
-    aggregate = aggregate_runs([rec.cells for rec in runs],
-                               cfg.budgets, cfg.grid_names)
-    return SweepResult(config=cfg, run_seeds=seeds, runs=tuple(runs),
+    jobs = [(scene, grid) for scene in scenes for _, grid in cfg.grids]
+    with ThreadPoolExecutor(
+            max_workers=threads or min(32, os.cpu_count() or 1)) as pool:
+        outputs = iter(pool.map(work, jobs))  # run-major, grids in order
+    runs = tuple({(name, b): m for name in cfg.grid_names
+                  for b, m in zip(cfg.budgets, next(outputs))}
+                 for _ in scenes)
+    aggregate = aggregate_runs(runs, cfg.budgets, cfg.grid_names)
+    return SweepResult(config=cfg, run_seeds=seeds, runs=runs,
                        aggregate=aggregate)
 
 
@@ -335,14 +315,14 @@ def _histogram_csv(agg: AggregateMetrics, budgets: Sequence[float],
     return "\n".join(lines) + "\n"
 
 
-def _run_csv(record: RunRecord, budgets: Sequence[float],
-             grid_names: Sequence[str]) -> str:
+def _run_csv(cells: Mapping[tuple[str, float], RunMetrics],
+             budgets: Sequence[float], grid_names: Sequence[str]) -> str:
     lines = [SCHEMA_HEADER,
              "budget,grid,active_tracks,total_utility,"
              "mean_angular_error_mrad,histogram"]
     for name in sorted(grid_names):
         for b in budgets:
-            m = record.cells[(name, b)]
+            m = cells[(name, b)]
             hist = ";".join(f"{n}:{c}" for n, c in m.element_histogram)
             lines.append(",".join([
                 fmt_budget(b), name, str(m.active_tracks),
@@ -389,9 +369,8 @@ def write_sweep_outputs(
                          and HISTOGRAM_GRID in names)
     emit(out / "element_histogram.csv",
          _histogram_csv(agg, hist_budgets, HISTOGRAM_GRID))
-    for record in result.runs:
-        emit(runs_dir / f"run_{record.run_index}.csv",
-             _run_csv(record, budgets, names))
+    for r, cells in enumerate(result.runs):
+        emit(runs_dir / f"run_{r}.csv", _run_csv(cells, budgets, names))
     return written
 
 

@@ -67,15 +67,15 @@ class SceneConfig:
         for name in ("bearing_interval", "rcs_interval_dbsm",
                      "weight_interval"):
             lo, hi = getattr(self, name)
-            if lo > hi:
+            if not lo <= hi:
                 raise ValueError(f"{name} bounds must be ordered")
         if not (-90.0 < self.bearing_interval[0]
                 and self.bearing_interval[1] < 90.0):
             raise ValueError("bearing_interval must lie inside (-90, 90) deg")
-        if self.weight_interval[0] <= 0.0:
+        if not self.weight_interval[0] > 0.0:
             raise ValueError("weights must be positive")
         p = self.type_probabilities
-        if min(p) < 0.0 or abs(sum(p) - 1.0) > 1e-12:
+        if not (min(p) >= 0.0 and abs(sum(p) - 1.0) <= 1e-12):
             raise ValueError("type_probabilities must be >= 0 and sum to 1")
 
 

@@ -249,15 +249,14 @@ def test_allocate_out_path_collision_exits_1(config_path, tmp_path,
 
 
 def test_sweep_outputs_independent_of_threads(config_path, tmp_path,
-                                              capsys, monkeypatch):
+                                              capsys):
     serial, threaded = tmp_path / "serial", tmp_path / "threaded"
     rc = cli.main(["sweep", "--config", str(config_path),
                    "--out", str(serial), "--threads", "1"])
     assert rc == 0
     assert "wrote 6 files" in capsys.readouterr().out
-    monkeypatch.setenv("SAPA_RRM_THREADS", "4")
     rc = cli.main(["sweep", "--config", str(config_path),
-                   "--out", str(threaded)])
+                   "--out", str(threaded), "--threads", "4"])
     assert rc == 0
     capsys.readouterr()
     for name in ("active_tracks.csv", "total_utility.csv",
@@ -267,28 +266,6 @@ def test_sweep_outputs_independent_of_threads(config_path, tmp_path,
             (threaded / name).read_bytes(), name
     hist = (serial / "element_histogram.csv").read_text().splitlines()
     assert len(hist) > 2  # config names a split grid, so bins are emitted
-
-
-@pytest.mark.parametrize("env_value", ["abc", "-2"])
-def test_sweep_rejects_bad_thread_environment(config_path, tmp_path,
-                                              env_value, capsys,
-                                              monkeypatch):
-    monkeypatch.setenv("SAPA_RRM_THREADS", env_value)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep", "--config", str(config_path),
-                  "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
-def test_sweep_thread_flag_overrides_environment(config_path, tmp_path,
-                                                 capsys, monkeypatch):
-    # a broken environment value is ignored when --threads is explicit
-    monkeypatch.setenv("SAPA_RRM_THREADS", "abc")
-    rc = cli.main(["sweep", "--config", str(config_path),
-                   "--out", str(tmp_path / "ok"), "--threads", "1"])
-    assert rc == 0
-    capsys.readouterr()
 
 
 def test_sweep_without_histogram_grid_exits_2(tmp_path, capsys):

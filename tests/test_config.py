@@ -211,6 +211,9 @@ def test_normalized_document_contains_every_section():
                  '"n_h": [6]}, "split": {"t_d_ms": [8.0], "f_t_hz": [1.0], '
                  '"n_h": [6]}}}', "split: repeated key",
                  id="repeated-grids.split"),
+    ({"grids": {"split": grid_doc(
+        t_d_ms={"start": 4.0, "step": 1e-9, "stop": 64.0})}},
+     "grids.split.t_d_ms: triple gives more than 100000 values"),
 ])
 def test_invalid_documents_are_rejected(document, needle):
     parse = loads_config if isinstance(document, str) else parse_config

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from sapa_rrm import experiment
 from sapa_rrm.experiment import (
     RunMetrics,
     SweepConfig,
@@ -179,7 +180,7 @@ def test_aggregate_skips_runs_without_error_estimate():
 
 
 def test_single_run_aggregate_has_zero_spread(small_result):
-    one = aggregate_runs([small_result.runs[0].cells],
+    one = aggregate_runs([small_result.runs[0]],
                          SMALL_SWEEP.budgets, SMALL_SWEEP.grid_names)
     for stats in one.total_utility.values():
         assert stats.std == 0.0
@@ -195,10 +196,9 @@ def test_sweep_structure(small_result):
     assert small_result.run_seeds == tuple(derive_run_seed(7, r)
                                            for r in range(3))
     assert len(small_result.runs) == 3
-    for r, record in enumerate(small_result.runs):
-        assert record.run_index == r
-        assert set(record.cells) == {(g, b) for g in ("split", "full")
-                                     for b in SMALL_SWEEP.budgets}
+    for run in small_result.runs:
+        assert set(run) == {(g, b) for g in ("split", "full")
+                            for b in SMALL_SWEEP.budgets}
     agg = small_result.aggregate
     assert agg.n_mc == 3
     assert agg.grid_names == ("split", "full")
@@ -211,16 +211,32 @@ def test_sweep_result_independent_of_thread_count():
     serial = sweep(cfg, CONSTS, SHAPE, threads=1)
     threaded = sweep(cfg, CONSTS, SHAPE, threads=4)
     assert serial.run_seeds == threaded.run_seeds
-    for a, b in zip(serial.runs, threaded.runs):
-        assert a.cells == b.cells
+    assert serial.runs == threaded.runs
     assert serial.aggregate == threaded.aggregate
 
 
+def test_sweep_generates_each_run_scene_once(monkeypatch):
+    cfg = SweepConfig(budgets=(0.2, 0.6), grids=(("split", SPLIT),
+                                                 ("full", FULL)),
+                      n_mc=3, scene=SceneConfig(n_targets=6, seed=5))
+    plain = sweep(cfg, CONSTS, SHAPE, threads=2)
+    seeds = []
+
+    def counting(scene_cfg):
+        seeds.append(scene_cfg.seed)
+        return generate_scene(scene_cfg)
+
+    monkeypatch.setattr(experiment, "generate_scene", counting)
+    counted = sweep(cfg, CONSTS, SHAPE, threads=2)
+    assert seeds == list(counted.run_seeds)
+    assert counted == plain
+
+
 def test_split_grid_never_trails_full_grid(small_result):
-    for record in small_result.runs:
+    for run in small_result.runs:
         for b in SMALL_SWEEP.budgets:
-            split = record.cells[("split", b)]
-            full = record.cells[("full", b)]
+            split = run[("split", b)]
+            full = run[("full", b)]
             assert split.total_utility >= full.total_utility - 1e-12
             assert split.active_tracks >= full.active_tracks
 
@@ -283,7 +299,7 @@ def test_csv_round_trip_reproduces_aggregate_exactly(small_result,
 def test_read_run_csv_units_and_header_check(small_result, tmp_path):
     write_sweep_outputs(small_result, tmp_path)
     cells = read_run_csv(tmp_path / "runs" / "run_0.csv")
-    ref = small_result.runs[0].cells
+    ref = small_result.runs[0]
     key = ("split", 0.4)
     assert cells[key].active_tracks == ref[key].active_tracks
     assert cells[key].mean_angular_error == pytest.approx(

@@ -3,13 +3,16 @@
 The demos and the README's Python examples are the documented users of
 ``sapa_rrm``; they are parsed, not run.  The benchmark's tracer is a
 user too: it wraps module attributes by name and counts what the
-wrapped calls return.
+wrapped calls return, and its smoke setting runs end to end here.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import sapa_rrm
@@ -81,3 +84,14 @@ def test_benchmark_trace_points_and_counters_resolve():
     assert counts == {"in_points": len(points),
                       "vertices": len(majorant.points)}
     assert counts["vertices"] > 0
+
+
+def test_benchmark_smoke_run_is_correct():
+    # checks the smoke reference digests and every trace counter
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "smoke",
+         "--seed", "1234", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last

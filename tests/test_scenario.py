@@ -90,6 +90,13 @@ def test_type_probabilities_are_honored():
     dict(weight_interval=(0.0, 0.8)),
     dict(type_probabilities=(0.6, 0.6)),
     dict(type_probabilities=(-0.2, 1.2)),
+    # NaN at either end of a bound fails every comparison
+    dict(rcs_interval_dbsm=(math.nan, 10.0)),
+    dict(rcs_interval_dbsm=(-10.0, math.nan)),
+    dict(weight_interval=(math.nan, 0.8)),
+    dict(weight_interval=(0.2, math.nan)),
+    dict(type_probabilities=(math.nan, 0.5)),
+    dict(type_probabilities=(0.5, math.nan)),
 ])
 def test_invalid_scene_configs_raise(kwargs):
     with pytest.raises(ValueError):
