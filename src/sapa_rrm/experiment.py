@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -170,26 +170,29 @@ def _metrics_from_allocation(result: AllocationResult,
 
 
 def solve_scene(scene: Scene, grid: ControlGrid, budgets: Sequence[float],
-                consts: RadarConstants,
-                shape: UtilityShape) -> list[AllocationResult]:
+                consts: RadarConstants, shape: UtilityShape,
+                task_map: Callable = map) -> list[AllocationResult]:
     """Allocate one scene over one grid at each of several budgets.
 
-    Set-points are enumerated and hulls built once; only the cheap
-    greedy scan repeats per budget.
+    Each task's hull is built once, through ``task_map``: the builtin
+    ``map`` runs the tasks serially, an executor's ``map`` in parallel.
+    Hulls come back in task order, so scheduling cannot change the
+    result.  Only the cheap greedy scan repeats per budget.
     """
-    majorants = [build_majorant(enumerate_setpoints(task.environment,
-                                                    task.weight, grid,
-                                                    consts, shape))
-                 for task in scene.tasks]
-    return allocate_many(majorants, budgets)
+    def majorant(task):
+        return build_majorant(enumerate_setpoints(
+            task.environment, task.weight, grid, consts, shape))
+
+    return allocate_many(list(task_map(majorant, scene.tasks)), budgets)
 
 
-def evaluate_scene(scene: Scene, grid: ControlGrid,
-                   budgets: Sequence[float], consts: RadarConstants,
-                   shape: UtilityShape) -> list[RunMetrics]:
+def evaluate_scene(scene: Scene, grid: ControlGrid, budgets: Sequence[float],
+                   consts: RadarConstants, shape: UtilityShape,
+                   task_map: Callable = map) -> list[RunMetrics]:
     """Per-budget metrics of one scene solved over one grid."""
     return [_metrics_from_allocation(res, grid)
-            for res in solve_scene(scene, grid, budgets, consts, shape)]
+            for res in solve_scene(scene, grid, budgets, consts, shape,
+                                   task_map)]
 
 
 def _cell_stats(values: np.ndarray) -> CellStats:
@@ -246,11 +249,10 @@ def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
           threads: int | None = None) -> SweepResult:
     """Full Monte Carlo campaign: all runs, grids and budgets.
 
-    Each run's scene is generated once, in the calling thread, from a
-    seed derived from (cfg.scene.seed, run index), and solved over every
-    grid.  (run, grid) cells execute on a thread pool; the reduction
-    iterates runs and grids in fixed order, so the result does not
-    depend on scheduling.
+    Runs and grids are solved in order; each run's scene is generated
+    once, from a seed derived from (cfg.scene.seed, run index).  The
+    tasks of a scene are spread over one thread pool (see solve_scene),
+    so the result does not depend on the worker count.
 
     Args:
         cfg: campaign description.
@@ -264,19 +266,14 @@ def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
         raise ValueError("threads must be >= 0")
     seeds = tuple(derive_run_seed(cfg.scene.seed, r)
                   for r in range(cfg.n_mc))
-    scenes = [generate_scene(replace(cfg.scene, seed=s)) for s in seeds]
-
-    def work(job: tuple[Scene, ControlGrid]) -> list[RunMetrics]:
-        scene, grid = job
-        return evaluate_scene(scene, grid, cfg.budgets, consts, shape)
-
-    jobs = [(scene, grid) for scene in scenes for _, grid in cfg.grids]
+    scenes = (generate_scene(replace(cfg.scene, seed=s)) for s in seeds)
     with ThreadPoolExecutor(
             max_workers=threads or min(32, os.cpu_count() or 1)) as pool:
-        outputs = iter(pool.map(work, jobs))  # run-major, grids in order
-    runs = tuple({(name, b): m for name in cfg.grid_names
-                  for b, m in zip(cfg.budgets, next(outputs))}
-                 for _ in scenes)
+        runs = tuple({(name, b): m for name, grid in cfg.grids
+                      for b, m in zip(cfg.budgets, evaluate_scene(
+                          scene, grid, cfg.budgets, consts, shape,
+                          pool.map))}
+                     for scene in scenes)
     aggregate = aggregate_runs(runs, cfg.budgets, cfg.grid_names)
     return SweepResult(config=cfg, run_seeds=seeds, runs=runs,
                        aggregate=aggregate)
@@ -340,7 +337,8 @@ def write_sweep_outputs(
     so readers never observe partial files.  The element histogram is
     emitted for the requested budgets of the HISTOGRAM_GRID grid;
     budgets outside the sweep or a sweep without that grid produce a
-    header-only file.
+    header-only file.  Per-run files that are not part of this sweep,
+    such as those of an earlier, larger sweep, are removed.
 
     Returns:
         The written paths.
@@ -371,6 +369,9 @@ def write_sweep_outputs(
          _histogram_csv(agg, hist_budgets, HISTOGRAM_GRID))
     for r, cells in enumerate(result.runs):
         emit(runs_dir / f"run_{r}.csv", _run_csv(cells, budgets, names))
+    for path in runs_dir.glob("run_*.csv"):
+        if path not in written:  # left by an earlier, larger sweep
+            path.unlink()
     return written
 
 

@@ -129,13 +129,14 @@ def enumerate_setpoints(env: Environment, weight: float, grid: ControlGrid,
                        np.asarray(grid.n_h_values, dtype=np.float64),
                        env, consts, shape)
     flat = np.nonzero(ge.feasible.ravel())[0]
+    u = ge.utility.ravel()[flat]
     return TaskSetPoints(
         grid=grid,
         flat_index=flat,
         resource=ge.resource.ravel()[flat],
-        weighted_utility=weight * ge.utility.ravel()[flat],
+        weighted_utility=weight * u,
         quality=ge.quality.ravel()[flat],
-        utility=ge.utility.ravel()[flat],
+        utility=u,
     )
 
 

@@ -228,15 +228,13 @@ def track_sharpness_batch(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """
     c1 = 0.5 * np.asarray(beta, dtype=np.float64) + 2.0
     c2 = np.asarray(alpha, dtype=np.float64) * beta
-    c1, c2 = np.broadcast_arrays(c1, c2)
     t = c1 / c2 + c2 ** (-1.0 / 6.0)
     c1_5, c2_6 = 5.0 * c1, 6.0 * c2  # loop invariants of dp
     for _ in range(24):
         t4 = t * t * t * t
-        p = 1.0 + t4 * t * (c1 - c2 * t)
-        dp = t4 * (c1_5 - c2_6 * t)
-        step = p / dp
-        t = t - step
+        step = 1.0 + t4 * t * (c1 - c2 * t)  # p, divided in place
+        step /= t4 * (c1_5 - c2_6 * t)       # by dp
+        t -= step
         if np.all(np.abs(step) <= 1e-15 * t):
             break
     else:
@@ -324,14 +322,12 @@ def evaluate_grid(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
     raw = _raw_snr(t_d, n_h, env, consts)              # (nt, 1, nn)
     feasible = raw >= consts.snr_floor
     snr = np.minimum(raw, consts.snr_cap)
-    q, g, v0, p_d, n_l = _task_chain(snr, t_d, f_t, n_h, env, consts,
-                                     track_sharpness_batch, np.sqrt)
+    q, g = _task_chain(snr, t_d, f_t, n_h, env, consts,
+                       track_sharpness_batch, np.sqrt)[:2]
     u = np.clip((q - shape.q_min) / (shape.q_max - shape.q_min), 0.0, 1.0)
-
-    feasible = np.broadcast_to(feasible, q.shape).copy()  # q is full-size
-    q = np.where(feasible, q, np.nan)
-    g = np.where(feasible, g, np.nan)
-    u = np.where(feasible, u, np.nan)
-    snr = np.where(feasible, snr, np.nan)
+    snr = np.broadcast_to(snr, q.shape).copy()  # q is full-size
+    for fresh in (q, g, u, snr):
+        np.copyto(fresh, np.nan, where=~feasible)
+    feasible = np.broadcast_to(feasible, q.shape).copy()
     return GridEvaluation(feasible=feasible, quality=q, resource=g,
                           utility=u, snr_linear=snr)

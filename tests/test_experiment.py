@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 from dataclasses import replace
 
 import pytest
@@ -209,10 +210,35 @@ def test_sweep_result_independent_of_thread_count():
                                                  ("full", FULL)),
                       n_mc=2, scene=SceneConfig(n_targets=10, seed=3))
     serial = sweep(cfg, CONSTS, SHAPE, threads=1)
-    threaded = sweep(cfg, CONSTS, SHAPE, threads=4)
-    assert serial.run_seeds == threaded.run_seeds
-    assert serial.runs == threaded.runs
-    assert serial.aggregate == threaded.aggregate
+    for threads in (3, 4):
+        threaded = sweep(cfg, CONSTS, SHAPE, threads=threads)
+        assert serial.run_seeds == threaded.run_seeds
+        assert serial.runs == threaded.runs
+        assert serial.aggregate == threaded.aggregate
+
+
+def test_sweep_solves_a_scenes_tasks_in_parallel(monkeypatch):
+    # the first two tasks of a one-run, one-grid sweep can only pass the
+    # barrier together, that is on two workers at once
+    barrier = threading.Barrier(2, timeout=10)
+    lock = threading.Lock()
+    calls = []
+    enumerate_setpoints = experiment.enumerate_setpoints
+
+    def meeting(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            first_two = len(calls) <= 2
+        if first_two:
+            barrier.wait()
+        return enumerate_setpoints(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "enumerate_setpoints", meeting)
+    cfg = SweepConfig(budgets=(0.5,), grids=(("split", SPLIT),), n_mc=1,
+                      scene=SceneConfig(n_targets=4, seed=2))
+    result = sweep(cfg, CONSTS, SHAPE, threads=2)
+    assert len(calls) == 4
+    assert result.runs == sweep(cfg, CONSTS, SHAPE, threads=1).runs
 
 
 def test_sweep_generates_each_run_scene_once(monkeypatch):
@@ -294,6 +320,18 @@ def test_csv_round_trip_reproduces_aggregate_exactly(small_result,
     assert agg.total_utility == ref.total_utility
     assert agg.mean_angular_error_mrad == ref.mean_angular_error_mrad
     assert agg.element_histogram == ref.element_histogram
+
+
+def test_rewrite_with_fewer_runs_removes_stale_run_files(small_result,
+                                                        tmp_path):
+    write_sweep_outputs(small_result, tmp_path)
+    one_run = replace(SMALL_SWEEP, n_mc=1)
+    written = write_sweep_outputs(sweep(one_run, CONSTS, SHAPE, threads=1),
+                                  tmp_path)
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+        "run_0.csv"]
+    assert (tmp_path / "runs" / "run_0.csv") in written
+    assert len(read_runs(tmp_path)) == 1
 
 
 def test_read_run_csv_units_and_header_check(small_result, tmp_path):
