@@ -43,7 +43,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config, parse_config
+from .config import (MAX_AXIS_VALUES, ConfigError, RunConfig, load_config,
+                     parse_config)
 from .experiment import (
     HISTOGRAM_GRID,
     SCHEMA_HEADER,
@@ -127,9 +128,9 @@ def _range_sweep(text: str) -> list[float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"COUNT is not an integer: {parts[2]!r}") from None
-    if start <= 0 or stop <= start or count < 2:
+    if start <= 0 or stop <= start or not 2 <= count <= MAX_AXIS_VALUES:
         raise argparse.ArgumentTypeError(
-            "needs 0 < START < STOP and COUNT >= 2")
+            f"needs 0 < START < STOP and 2 <= COUNT <= {MAX_AXIS_VALUES}")
     step = (stop - start) / (count - 1)
     return [start + k * step for k in range(count)]
 
@@ -192,6 +193,8 @@ def cmd_allocate(parser: argparse.ArgumentParser,
     grid = cfg.grid(grid_name)
     scene_cfg = cfg.scene
     if args.scene_seed is not None:
+        if args.scene_seed < 0:
+            parser.error("--scene-seed must be >= 0")
         scene_cfg = replace(scene_cfg, seed=args.scene_seed)
     scene = generate_scene(scene_cfg)
     [result] = solve_scene(scene, grid, (args.budget,), cfg.radar,

@@ -156,19 +156,13 @@ class ConcaveMajorant:
 def _hull_indices(g: np.ndarray, wu: np.ndarray) -> list[int]:
     """Indices of the upper-left hull vertices, ascending in resource.
 
-    The implicit origin anchors the chain; points that do not improve on
-    the running best utility can never be vertices, so they are pruned
-    with one vectorized pass before the (short) scan.
+    Only points that raise the running best utility after one stable sort
+    on resource can be vertices.  Ties: the larger utility wins, then the
+    first point; collinear points are not vertices.
     """
-    if g.size == 0:
-        return []
-    order = np.lexsort((-wu, g))  # resource asc, utility desc within ties
-    wu_sorted = wu[order]
-    best_before = np.empty_like(wu_sorted)
-    best_before[0] = 0.0
-    np.maximum.accumulate(wu_sorted[:-1], out=best_before[1:])
-    np.maximum(best_before, 0.0, out=best_before)
-    frontier = order[wu_sorted > best_before]
+    order = np.argsort(g, kind="stable")
+    best = np.maximum.accumulate(np.maximum(wu[order], 0.0))
+    frontier = order[np.diff(best, prepend=0.0) > 0.0]
 
     hull: list[int] = []
     xs = [0.0]  # chain coordinates, origin included

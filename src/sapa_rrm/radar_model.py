@@ -286,9 +286,9 @@ def evaluate(cp: ControlPoint, env: Environment, consts: RadarConstants,
 class GridEvaluation:
     """evaluate() over a full control grid, as arrays.
 
-    All arrays are shaped (len(t_d), len(f_t), len(n_h)).  Entries where
-    ``feasible`` is False hold NaN in the value arrays and must be
-    consumed through the mask.
+    All arrays are shaped (len(t_d), len(f_t), len(n_h)); ``feasible``
+    and ``snr_linear`` are read-only views.  Where ``feasible`` is False
+    the value arrays hold NaN; consume them through the mask.
     """
 
     feasible: np.ndarray   # bool
@@ -325,9 +325,9 @@ def evaluate_grid(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
     q, g = _task_chain(snr, t_d, f_t, n_h, env, consts,
                        track_sharpness_batch, np.sqrt)[:2]
     u = np.clip((q - shape.q_min) / (shape.q_max - shape.q_min), 0.0, 1.0)
-    snr = np.broadcast_to(snr, q.shape).copy()  # q is full-size
-    for fresh in (q, g, u, snr):
+    for fresh in (q, g, u):
         np.copyto(fresh, np.nan, where=~feasible)
-    feasible = np.broadcast_to(feasible, q.shape).copy()
-    return GridEvaluation(feasible=feasible, quality=q, resource=g,
-                          utility=u, snr_linear=snr)
+    snr = np.where(feasible, snr, np.nan)
+    return GridEvaluation(feasible=np.broadcast_to(feasible, q.shape),
+                          quality=q, resource=g, utility=u,
+                          snr_linear=np.broadcast_to(snr, q.shape))

@@ -77,6 +77,8 @@ class SceneConfig:
         p = self.type_probabilities
         if not (min(p) >= 0.0 and abs(sum(p) - 1.0) <= 1e-12):
             raise ValueError("type_probabilities must be >= 0 and sum to 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from sapa_rrm import cli
+from sapa_rrm.config import MAX_AXIS_VALUES
 from sapa_rrm.radar_model import (
     ControlPoint,
     Environment,
@@ -94,6 +95,9 @@ def test_eval_range_sweep_emits_one_line_per_range(capsys):
     assert [r["range_km"] for r in rows] == [100.0, 150.0, 200.0]
     assert all(list(r)[0] == "range_km" for r in rows)
     assert all(r["feasible"] for r in rows)
+    # COUNT may reach the cap on config axis triples, and no further
+    assert len(cli._range_sweep(f"10:20:{MAX_AXIS_VALUES}")) == \
+        MAX_AXIS_VALUES
 
 
 @pytest.mark.parametrize("argv", [
@@ -141,6 +145,8 @@ def test_eval_usage_errors_exit_2(argv, capsys):
     (EVAL_BASE + ["--range", "1e-200"], "--range"),
     (EVAL_BASE + ["--range-sweep", "1e-200:1e-199:2"], "--range-sweep"),
     (EVAL_BASE + ["--range", "50", "--rcs", "-4000"], "--rcs"),
+    # one past the axis cap of config triples; rejected while parsing
+    (EVAL_BASE + ["--range-sweep", "10:20:100001"], "--range-sweep"),
 ])
 def test_non_finite_numbers_exit_2_naming_the_flag(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -216,6 +222,24 @@ def test_allocate_scene_seed_override(config_path, tmp_path, capsys):
     assert summary["scene_seed"] == 9
     assert (base / "allocation.csv").read_bytes() != \
         (other / "allocation.csv").read_bytes()
+
+
+def test_negative_scene_seed_exits_2_naming_it(config_path, tmp_path,
+                                              capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_allocate(config_path, tmp_path / "x", "--scene-seed", "-1")
+    assert exc.value.code == 2
+    assert "--scene-seed must be >= 0" in capsys.readouterr().err
+    path = tmp_path / "negative_seed.json"
+    path.write_text(json.dumps({**CONFIG_DOC, "scene": {"seed": -5}}),
+                    encoding="utf-8")
+    for argv in (["allocate", "--budget", "0.3"], ["sweep"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(path),
+                             "--out", str(tmp_path / "y")])
+        assert exc.value.code == 2
+        assert "scene: seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
 @pytest.mark.parametrize("extra", [

@@ -214,6 +214,7 @@ def test_normalized_document_contains_every_section():
     ({"grids": {"split": grid_doc(
         t_d_ms={"start": 4.0, "step": 1e-9, "stop": 64.0})}},
      "grids.split.t_d_ms: triple gives more than 100000 values"),
+    ({"scene": {"seed": -5}}, "scene: seed must be >= 0"),
 ])
 def test_invalid_documents_are_rejected(document, needle):
     parse = loads_config if isinstance(document, str) else parse_config

@@ -4,13 +4,16 @@ Hull examples small enough to check by hand are frozen directly;
 hypothesis covers the structural invariants on random point clouds.
 """
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sapa_rrm.config import load_config
 from sapa_rrm.qram import (
     AllocationResult,
     ConcaveMajorant,
@@ -22,6 +25,7 @@ from sapa_rrm.qram import (
     brute_force_allocate,
     build_majorant,
     enumerate_setpoints,
+    _hull_indices,
     _sorted_segments,
 )
 from sapa_rrm.radar_model import (
@@ -32,6 +36,9 @@ from sapa_rrm.radar_model import (
     evaluate,
     evaluate_grid,
 )
+from sapa_rrm.scenario import generate_scene
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONSTS = RadarConstants()
 SHAPE = UtilityShape()
@@ -221,6 +228,110 @@ def test_majorant_of_enumerated_task_stays_below_point_count():
     assert 0 < len(mj.points) <= len(pts)
     for p in mj.points:
         assert p.resource > 0.0 and p.weighted_utility > 0.0
+
+
+def two_key_hull_indices(g, wu):
+    """Oracle: the hull scan behind a two-key sort (resource asc, utility
+    desc) that keeps only the best point of each resource."""
+    if g.size == 0:
+        return []
+    order = np.lexsort((-wu, g))
+    wu_sorted = wu[order]
+    best_before = np.empty_like(wu_sorted)
+    best_before[0] = 0.0
+    np.maximum.accumulate(wu_sorted[:-1], out=best_before[1:])
+    np.maximum(best_before, 0.0, out=best_before)
+    frontier = order[wu_sorted > best_before]
+
+    hull = []
+    xs = [0.0]
+    ys = [0.0]
+    g_list = g[frontier].tolist()
+    wu_list = wu[frontier].tolist()
+    for idx, x, y in zip(frontier.tolist(), g_list, wu_list):
+        while hull:
+            x1, y1 = xs[-2], ys[-2]
+            x2, y2 = xs[-1], ys[-1]
+            if (y - y1) * (x2 - x1) >= (y2 - y1) * (x - x1):
+                hull.pop()
+                xs.pop()
+                ys.pop()
+            else:
+                break
+        hull.append(idx)
+        xs.append(x)
+        ys.append(y)
+    return hull
+
+
+# few distinct values, so that resources tie, (g, wu) pairs repeat and
+# points fall on one chord; no task has a negative utility, but the
+# oracle defines the hull for one too
+tie_clouds = st.lists(
+    st.tuples(st.sampled_from([0.125, 0.25, 0.375, 0.5, 0.75, 1.0]),
+              st.one_of(st.sampled_from([-0.25, -0.125, 0.0, 0.125, 0.25,
+                                         0.5, 1.0]),
+                        st.floats(min_value=0.0, max_value=1.0))),
+    min_size=0, max_size=40)
+
+
+@given(tie_clouds)
+@example([])
+@example([(0.25, 0.5), (0.25, 0.5), (0.25, 0.0), (0.5, 1.0), (0.5, 1.0)])
+@example([(0.5, 0.25), (0.5, 0.5), (0.25, 0.125), (0.5, 0.5)])
+@example([(0.25, -0.25), (0.5, -0.125), (0.75, 0.0)])
+@settings(deadline=None, max_examples=300)
+def test_hull_indices_match_two_key_oracle(pairs):
+    g, wu = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+    assert _hull_indices(g, wu) == two_key_hull_indices(g, wu)
+
+
+task_envs = st.builds(
+    Environment,
+    range=st.floats(min_value=10e3, max_value=300e3),
+    bearing=st.floats(min_value=-1.0, max_value=1.0),
+    rcs=st.floats(min_value=0.1, max_value=10.0),
+    maneuver_std=st.floats(min_value=0.1, max_value=35.0),
+    corr_time=st.floats(min_value=1.0, max_value=20.0))
+
+
+@given(task_envs, st.floats(min_value=0.01, max_value=1.0))
+@settings(deadline=None, max_examples=60)
+def test_hull_indices_match_two_key_oracle_on_enumerated_tasks(env, weight):
+    pts = enumerate_setpoints(env, weight, SMALL_GRID, CONSTS, SHAPE)
+    assert _hull_indices(pts.resource, pts.weighted_utility) == \
+        two_key_hull_indices(pts.resource, pts.weighted_utility)
+
+
+# Recorded with numpy 2.4.6.  The values come from numpy's pow and sqrt,
+# so another numpy may need a new recording; say why when making one.
+REAL_HULL_DIGEST = \
+    "3e99181a335f1566b6ab69027d65036f9b6b117eb9bb7a07579a1cb5779570a8"
+
+
+def test_real_grid_hulls_match_recorded_digest():
+    """Bit-for-bit hulls of the first 20 tasks of each shipped campaign's
+    scene on both grids: one SHA-256 over every vertex's flat index,
+    resource, weighted utility and quality."""
+    digest = hashlib.sha256()
+    for name in ("campaign_70km", "campaign_250km"):
+        cfg = load_config(ROOT / "configs" / f"{name}.json")
+        tasks = generate_scene(cfg.scene).tasks[:20]
+        for grid_name in ("split", "full"):
+            for task in tasks:
+                pts = enumerate_setpoints(task.environment, task.weight,
+                                          cfg.grid(grid_name), cfg.radar,
+                                          cfg.utility)
+                hull = np.array(_hull_indices(pts.resource,
+                                              pts.weighted_utility),
+                                dtype=np.intp)
+                digest.update(np.int64(hull.size).tobytes())
+                for values in (pts.flat_index.astype(np.int64),
+                               pts.resource, pts.weighted_utility,
+                               pts.quality):
+                    digest.update(values[hull].tobytes())
+    assert digest.hexdigest() == REAL_HULL_DIGEST, \
+        f"recorded with numpy 2.4.6, running numpy {np.__version__}"
 
 
 # ---------------------------------------------------------------------------

@@ -462,7 +462,9 @@ def test_evaluate_grid_matches_scalar_pointwise(env, all_feasible):
     f_t = np.array([0.5, 1.0, 2.0, 6.0])
     n_h = np.arange(6, 49, 6, dtype=float)
     ge = evaluate_grid(t_d, f_t, n_h, env, CONSTS, SHAPE)
-    assert ge.quality.shape == (3, 4, 8)
+    for values in (ge.feasible, ge.quality, ge.resource, ge.utility,
+                   ge.snr_linear):
+        assert values.shape == (3, 4, 8)
     n_feasible = 0
     for i, td in enumerate(t_d):
         for j, ft in enumerate(f_t):

@@ -97,6 +97,7 @@ def test_type_probabilities_are_honored():
     dict(weight_interval=(0.2, math.nan)),
     dict(type_probabilities=(math.nan, 0.5)),
     dict(type_probabilities=(0.5, math.nan)),
+    dict(seed=-1),
 ])
 def test_invalid_scene_configs_raise(kwargs):
     with pytest.raises(ValueError):
