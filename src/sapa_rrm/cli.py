@@ -7,8 +7,8 @@ Subcommands
 
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or validation
 failure.  sweep --threads N sets the worker count (0 or no flag picks
-one worker per CPU); the workers share out each scene's tasks, and the
-output does not depend on their number.
+one worker per usable CPU); the workers share out each scene's tasks,
+and the output does not depend on their number.
 
 Output schemas (all files start with the version line "# sapa-rrm v1",
 UTF-8, LF line endings):

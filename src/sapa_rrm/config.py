@@ -72,6 +72,14 @@ def _fail(key: str, constraint: str):
     raise ConfigError(f"{key}: {constraint}")
 
 
+def _build(key: str, cls, **fields):
+    """cls(**fields), with its ValueError reported under key."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        _fail(key, str(exc))
+
+
 def _as_number(key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(key, "must be a number")
@@ -109,7 +117,7 @@ def _section(doc: dict[str, Any], name: str,
 
 def _expand(key: str, value: Any, integer: bool = False) -> list:
     """Explicit value list, or a {start, step, stop} triple."""
-    cast = (lambda k, v: _as_int(k, v)) if integer else _as_number
+    cast = _as_int if integer else _as_number
     if isinstance(value, list):
         if not value:
             _fail(key, "must be non-empty")
@@ -145,22 +153,17 @@ def _build_radar(section: dict[str, Any]) -> RadarConstants:
     values = {key: (_as_int if isinstance(RADAR_DEFAULTS[key], int)
                     else _as_number)(f"radar.{key}", value)
               for key, value in section.items()}
-    try:
-        return RadarConstants(**values)
-    except ValueError as exc:
-        _fail("radar", str(exc))
+    return _build("radar", RadarConstants, **values)
 
 
 def _build_utility(section: dict[str, Any]) -> UtilityShape:
     q_min = _as_number("utility.q_min_mrad", section["q_min_mrad"])
     q_max = _as_number("utility.q_max_mrad", section["q_max_mrad"])
-    try:
-        return UtilityShape(q_min=q_min * 1e-3, q_max=q_max * 1e-3)
-    except ValueError as exc:
-        _fail("utility", str(exc))
+    return _build("utility", UtilityShape, q_min=q_min * 1e-3,
+                  q_max=q_max * 1e-3)
 
 
-def _build_grid(name: str, raw: Any) -> ControlGrid:
+def _build_grid(name: str, raw: Any, n_h_total: int) -> ControlGrid:
     key = f"grids.{name}"
     if not isinstance(raw, dict):
         _fail(key, "must be an object")
@@ -173,13 +176,11 @@ def _build_grid(name: str, raw: Any) -> ControlGrid:
     t_d_ms = _expand(f"{key}.t_d_ms", raw["t_d_ms"])
     f_t_hz = _expand(f"{key}.f_t_hz", raw["f_t_hz"])
     n_h = _expand(f"{key}.n_h", raw["n_h"], integer=True)
-    try:
-        return ControlGrid(
-            t_d_values=tuple(round(v * 1e-3, 13) for v in t_d_ms),
-            f_t_values=tuple(f_t_hz),
-            n_h_values=tuple(n_h))
-    except ValueError as exc:
-        _fail(key, str(exc))
+    if max(n_h) > n_h_total:
+        _fail(f"{key}.n_h", f"must not exceed radar.n_h_total ({n_h_total})")
+    return _build(key, ControlGrid,
+                  t_d_values=tuple(round(v * 1e-3, 13) for v in t_d_ms),
+                  f_t_values=tuple(f_t_hz), n_h_values=tuple(n_h))
 
 
 def _build_scene(section: dict[str, Any]) -> SceneConfig:
@@ -189,20 +190,13 @@ def _build_scene(section: dict[str, Any]) -> SceneConfig:
     weight = _as_pair("scene.weight", section["weight"])
     probs = _as_pair("scene.type_probabilities",
                      section["type_probabilities"])
-    try:
-        return SceneConfig(
-            n_targets=_as_int("scene.n_targets", section["n_targets"]),
-            range_interval=(range_km[0] * 1e3, range_km[1] * 1e3),
-            bearing_interval=bearing,
-            rcs_interval_dbsm=rcs,
-            weight_interval=weight,
-            type_probabilities=probs,
-            seed=_as_int("scene.seed", section["seed"]),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        _fail("scene", str(exc))
+    n_targets = _as_int("scene.n_targets", section["n_targets"])
+    seed = _as_int("scene.seed", section["seed"])
+    return _build("scene", SceneConfig, n_targets=n_targets,
+                  range_interval=(range_km[0] * 1e3, range_km[1] * 1e3),
+                  bearing_interval=bearing, rcs_interval_dbsm=rcs,
+                  weight_interval=weight, type_probabilities=probs,
+                  seed=seed)
 
 
 @dataclass(frozen=True)
@@ -255,7 +249,7 @@ def parse_config(document: Any) -> RunConfig:
 
     radar = _build_radar(radar_doc)
     utility = _build_utility(utility_doc)
-    grids = tuple((name, _build_grid(name, raw))
+    grids = tuple((name, _build_grid(name, raw, radar.n_h_total))
                   for name, raw in grids_doc.items())
     grid_names = [n for n, _ in grids]
     scene = _build_scene(scene_doc)
@@ -279,16 +273,10 @@ def parse_config(document: Any) -> RunConfig:
         if b not in budgets:
             _fail("sweep.histogram_budgets",
                   f"{b} is not one of the sweep budgets")
-    try:
-        sweep = SweepConfig(
-            budgets=tuple(budgets),
-            grids=tuple((n, dict(grids)[n]) for n in sweep_grids),
-            n_mc=_as_int("sweep.n_mc", sweep_doc["n_mc"]),
-            scene=scene)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        _fail("sweep", str(exc))
+    n_mc = _as_int("sweep.n_mc", sweep_doc["n_mc"])
+    sweep = _build("sweep", SweepConfig, budgets=tuple(budgets),
+                   grids=tuple((n, dict(grids)[n]) for n in sweep_grids),
+                   n_mc=n_mc, scene=scene)
 
     normalized = {
         "radar": radar_doc,

@@ -257,7 +257,7 @@ def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
     Args:
         cfg: campaign description.
         consts, shape: model parameters, published defaults.
-        threads: worker count; None or 0 picks one per CPU (capped).
+        threads: worker count; None or 0 picks one per usable CPU (max 32).
 
     Returns:
         SweepResult with per-run metric tables and their aggregate.
@@ -267,8 +267,11 @@ def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
     seeds = tuple(derive_run_seed(cfg.scene.seed, r)
                   for r in range(cfg.n_mc))
     scenes = (generate_scene(replace(cfg.scene, seed=s)) for s in seeds)
-    with ThreadPoolExecutor(
-            max_workers=threads or min(32, os.cpu_count() or 1)) as pool:
+    if not threads:  # one worker per CPU this process may run on
+        threads = min(32, len(os.sched_getaffinity(0))
+                      if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         runs = tuple({(name, b): m for name, grid in cfg.grids
                       for b, m in zip(cfg.budgets, evaluate_scene(
                           scene, grid, cfg.budgets, consts, shape,

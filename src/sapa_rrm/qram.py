@@ -10,6 +10,7 @@ the greedy result on small instances.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -124,9 +125,7 @@ def enumerate_setpoints(env: Environment, weight: float, grid: ControlGrid,
     """
     if not weight > 0.0:
         raise ValueError("weight must be positive")
-    ge = evaluate_grid(np.asarray(grid.t_d_values),
-                       np.asarray(grid.f_t_values),
-                       np.asarray(grid.n_h_values, dtype=np.float64),
+    ge = evaluate_grid(grid.t_d_values, grid.f_t_values, grid.n_h_values,
                        env, consts, shape)
     flat = np.nonzero(ge.feasible.ravel())[0]
     u = ge.utility.ravel()[flat]
@@ -220,7 +219,7 @@ class AllocationResult:
 
 
 def _sorted_segments(majorants: Sequence[ConcaveMajorant]):
-    """All hull segments sorted by (marginal desc, task asc, segment asc)."""
+    """All hull segments as (-marginal, task, segment, dg, dwu), sorted."""
     segments = []
     for ti, mj in enumerate(majorants):
         prev_g, prev_wu = 0.0, 0.0
@@ -228,9 +227,9 @@ def _sorted_segments(majorants: Sequence[ConcaveMajorant]):
             dg = p.resource - prev_g
             dwu = p.weighted_utility - prev_wu
             assert dg > 0.0, "feasible set-points always cost resource"
-            segments.append((dwu / dg, ti, si, dg, dwu))
+            segments.append((-dwu / dg, ti, si, dg, dwu))
             prev_g, prev_wu = p.resource, p.weighted_utility
-    segments.sort(key=lambda s: (-s[0], s[1], s[2]))
+    segments.sort()
     return segments
 
 
@@ -238,20 +237,16 @@ def _greedy_scan(majorants: Sequence[ConcaveMajorant], segments,
                  r_tot: float) -> AllocationResult:
     used = 0.0
     total_wu = 0.0
-    next_seg = [0] * len(majorants)
-    last_vertex = [-1] * len(majorants)
-    for _marginal, ti, si, dg, dwu in segments:
-        if si != next_seg[ti]:
-            continue  # an earlier segment of this task was skipped
-        if used + dg <= r_tot:
+    taken = [0] * len(majorants)  # accepted segments per task
+    for _neg_marginal, ti, si, dg, dwu in segments:
+        # a segment whose predecessor was skipped stays unreachable
+        if si == taken[ti] and used + dg <= r_tot:
             used += dg
             total_wu += dwu
-            next_seg[ti] = si + 1
-            last_vertex[ti] = si
+            taken[ti] += 1
     assignments = tuple(
-        None if vi < 0 else Assignment(set_point=mj.points[vi],
-                                       vertex_index=vi)
-        for mj, vi in zip(majorants, last_vertex))
+        Assignment(set_point=mj.points[n - 1], vertex_index=n - 1) if n
+        else None for mj, n in zip(majorants, taken))
     return AllocationResult(assignments=assignments, total_resource=used,
                             total_utility=total_wu)
 
@@ -304,9 +299,7 @@ def brute_force_allocate(tasks: Sequence[TaskSetPoints],
     if not r_tot > 0.0:
         raise ValueError("r_tot must be positive")
     sizes = [len(pts) + 1 for pts in tasks]
-    combos = 1
-    for s in sizes:
-        combos *= s
+    combos = math.prod(sizes)
     if combos > 10**7:
         raise ValueError(f"instance too large for brute force: "
                          f"{combos} > 1e7 combinations")

@@ -50,6 +50,13 @@ class RadarConstants:
             raise ValueError("alpha_bw must be positive")
         if not self.snr_floor_db < self.snr_cap_db:
             raise ValueError("snr_floor_db must be below snr_cap_db")
+        try:  # the floor lies below the cap, so this bounds both
+            cap = self.snr_cap
+        except OverflowError:
+            cap = math.inf
+        if not 0.0 < cap < math.inf:
+            raise ValueError("snr_cap_db must give a positive finite "
+                             "linear ratio")
 
     @property
     def snr_floor(self) -> float:

@@ -33,11 +33,6 @@ class TargetTypeRanges:
     maneuver_std_range: tuple[float, float]  # acceleration std [m/s^2]
     corr_time_range: tuple[float, float]     # correlation time [s]
 
-    def __post_init__(self) -> None:
-        for lo, hi in (self.maneuver_std_range, self.corr_time_range):
-            if not 0.0 <= lo <= hi:
-                raise ValueError("interval bounds must satisfy 0 <= lo <= hi")
-
 
 TYPE_RANGES: dict[TargetType, TargetTypeRanges] = {
     TargetType.TYPE_I: TargetTypeRanges(maneuver_std_range=(20.0, 35.0),

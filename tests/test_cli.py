@@ -242,6 +242,28 @@ def test_negative_scene_seed_exits_2_naming_it(config_path, tmp_path,
     assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
+@pytest.mark.parametrize("radar, needle", [
+    ({"n_h_total": 24}, "grids.split.n_h: must not exceed radar.n_h_total"),
+    ({"snr_cap_db": 4000}, "radar: snr_cap_db must give a positive finite"),
+])
+def test_config_the_model_cannot_evaluate_exits_2(tmp_path, capsys, radar,
+                                                   needle):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CONFIG_DOC, "radar": radar}),
+                    encoding="utf-8")
+    for argv in (["allocate", "--budget", "0.1"], ["sweep"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(path),
+                             "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert needle in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(EVAL_BASE + ["--range", "50", "--config", str(path)])
+    assert exc.value.code == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["--budget", "0"],
     ["--budget", "1.5"],

@@ -1,6 +1,7 @@
 """Unit tests for JSON configuration parsing and normalization."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from sapa_rrm.config import (
 )
 from sapa_rrm.radar_model import RadarConstants
 from sapa_rrm.scenario import SceneConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def grid_doc(**overrides):
@@ -68,6 +71,13 @@ def test_default_sweep_plan():
     assert dict(cfg.sweep.grids)["split"] == cfg.grid("split")
     assert cfg.sweep.scene == cfg.scene
     assert cfg.histogram_budgets == (0.1, 0.2, 0.3, 0.4)
+
+
+def test_shipped_defaults_file_is_the_empty_document_written_out():
+    # the README points readers to this file for the defaults
+    shipped = (ROOT / "configs" / "defaults.json").read_text(
+        encoding="utf-8")
+    assert shipped == parse_config({}).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +225,10 @@ def test_normalized_document_contains_every_section():
         t_d_ms={"start": 4.0, "step": 1e-9, "stop": 64.0})}},
      "grids.split.t_d_ms: triple gives more than 100000 values"),
     ({"scene": {"seed": -5}}, "scene: seed must be >= 0"),
+    ({"radar": {"n_h_total": 24}},
+     r"grids.split.n_h: must not exceed radar.n_h_total \(24\)"),
+    ({"radar": {"snr_cap_db": 4000}},
+     "radar: snr_cap_db must give a positive finite linear ratio"),
 ])
 def test_invalid_documents_are_rejected(document, needle):
     parse = loads_config if isinstance(document, str) else parse_config

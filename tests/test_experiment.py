@@ -258,6 +258,27 @@ def test_sweep_generates_each_run_scene_once(monkeypatch):
     assert counted == plain
 
 
+@pytest.mark.parametrize("allowed, workers", [
+    ({0}, 1), ({1, 3, 5}, 3), (set(range(40)), 32)])
+@pytest.mark.parametrize("threads", [None, 0])
+def test_default_worker_count_follows_cpu_affinity(monkeypatch, allowed,
+                                                   workers, threads):
+    sizes = []
+
+    class Recording(experiment.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(experiment.os, "sched_getaffinity",
+                        lambda pid: allowed, raising=False)
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", Recording)
+    cfg = SweepConfig(budgets=(0.5,), grids=(("full", FULL),), n_mc=1,
+                      scene=SceneConfig(n_targets=2, seed=2))
+    sweep(cfg, CONSTS, SHAPE, threads=threads)
+    assert sizes == [workers]
+
+
 def test_split_grid_never_trails_full_grid(small_result):
     for run in small_result.runs:
         for b in SMALL_SWEEP.budgets:

@@ -1,19 +1,23 @@
 """The package's public names are exactly what its users import.
 
 The demos and the README's Python examples are the documented users of
-``sapa_rrm``; they are parsed, not run.  The benchmark's tracer is a
-user too: it wraps module attributes by name and counts what the
-wrapped calls return, and its smoke setting runs end to end here.
+``sapa_rrm``; their imports are parsed, and the demos also run, with
+warnings as errors.  The benchmark's tracer is a user too: it wraps
+module attributes by name and counts what the wrapped calls return,
+and its smoke setting runs end to end here.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import sapa_rrm
 from sapa_rrm.qram import ControlGrid, build_majorant, enumerate_setpoints
@@ -46,6 +50,20 @@ def test_documented_imports_are_public():
         assert imported, f"{name} imports nothing from sapa_rrm"
         missing = imported - public
         assert not missing, f"{name} imports non-public {sorted(missing)}"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in
+                                         (ROOT / "demos").glob("*.py")))
+def test_demo_runs_without_warnings(demo):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
+    proc = subprocess.run([sys.executable, "-W", "error", f"demos/{demo}"],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout
 
 
 def test_every_public_name_resolves():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sapa_rrm.config import load_config
 from sapa_rrm.qram import (
     AllocationResult,
+    Assignment,
     ConcaveMajorant,
     ControlGrid,
     SetPoint,
@@ -87,7 +88,7 @@ def hull_value(majorant, x):
 def segments(majorant):
     """(d_resource, d_weighted_utility, marginal) per hull segment, in
     hull order, as the allocator's segment list sees them."""
-    return [(dg, dwu, m) for m, _, _, dg, dwu in
+    return [(dg, dwu, -neg_m) for neg_m, _, _, dg, dwu in
             sorted(_sorted_segments([majorant]), key=lambda s: s[2])]
 
 
@@ -454,6 +455,76 @@ def test_allocate_many_equals_repeated_allocate():
              for a in single.assignments]
     with pytest.raises(ValueError):
         allocate_many(majorants, [0.5, -0.1])
+
+
+def keyed_greedy_allocate(majorants, r_tot):
+    """Oracle: the greedy behind a keyed sort on (marginal, task, segment)
+    that tracks the next segment and the last vertex of each task."""
+    segments = []
+    for ti, mj in enumerate(majorants):
+        prev_g, prev_wu = 0.0, 0.0
+        for si, p in enumerate(mj.points):
+            dg = p.resource - prev_g
+            dwu = p.weighted_utility - prev_wu
+            segments.append((dwu / dg, ti, si, dg, dwu))
+            prev_g, prev_wu = p.resource, p.weighted_utility
+    segments.sort(key=lambda s: (-s[0], s[1], s[2]))
+
+    used = 0.0
+    total_wu = 0.0
+    next_seg = [0] * len(majorants)
+    last_vertex = [-1] * len(majorants)
+    for _marginal, ti, si, dg, dwu in segments:
+        if si != next_seg[ti]:
+            continue
+        if used + dg <= r_tot:
+            used += dg
+            total_wu += dwu
+            next_seg[ti] = si + 1
+            last_vertex[ti] = si
+    assignments = tuple(
+        None if vi < 0 else Assignment(set_point=mj.points[vi],
+                                       vertex_index=vi)
+        for mj, vi in zip(majorants, last_vertex))
+    return AllocationResult(assignments=assignments, total_resource=used,
+                            total_utility=total_wu)
+
+
+# dyadic values, so that marginals tie exactly across tasks and budgets
+# land exactly on sums of segment costs
+LATTICE = [k / 8 for k in range(1, 9)]
+lattice_tasks = st.lists(
+    st.lists(st.tuples(st.sampled_from(LATTICE), st.sampled_from(LATTICE)),
+             min_size=0, max_size=6),
+    min_size=0, max_size=8)
+lattice_budgets = st.lists(
+    st.one_of(st.sampled_from([k / 8 for k in range(1, 33)]),
+              st.floats(min_value=0.01, max_value=4.0)),
+    min_size=1, max_size=6)
+
+
+@given(lattice_tasks, lattice_budgets)
+@example([[(0.25, 0.5)], [(0.5, 1.0)], [(0.25, 0.5), (0.5, 0.75)]],
+         [0.25, 0.5, 0.75])
+@settings(deadline=None, max_examples=300)
+def test_allocate_many_matches_keyed_oracle_on_tied_marginals(tasks, budgets):
+    majorants = [build_majorant(cloud(pairs)) for pairs in tasks]
+    assert allocate_many(majorants, budgets) == \
+        [keyed_greedy_allocate(majorants, b) for b in budgets]
+
+
+@given(st.lists(st.tuples(task_envs, st.floats(min_value=0.01,
+                                               max_value=1.0)),
+                min_size=1, max_size=5))
+@settings(deadline=None, max_examples=40)
+def test_allocate_many_matches_keyed_oracle_on_enumerated_tasks(tasks):
+    majorants = [build_majorant(enumerate_setpoints(env, w, SMALL_GRID,
+                                                    CONSTS, SHAPE))
+                 for env, w in tasks]
+    majorants.append(majorants[0])  # an identical hull ties every marginal
+    budgets = [0.001, 0.005, 0.02, 0.05, 0.1, 0.3, 1.0]
+    assert allocate_many(majorants, budgets) == \
+        [keyed_greedy_allocate(majorants, b) for b in budgets]
 
 
 # ---------------------------------------------------------------------------

@@ -530,6 +530,10 @@ def test_evaluate_grid_rejects_bad_element_counts():
     lambda: Environment(range=1e4, bearing=0.0, rcs=1.0,
                         maneuver_std=1.0, corr_time=0.0),
     lambda: UtilityShape(q_min=1e-3, q_max=3e-3),
+    # linear ratios that overflow or underflow a float
+    lambda: RadarConstants(snr_cap_db=4000.0),
+    lambda: RadarConstants(snr_floor_db=3500.0, snr_cap_db=4000.0),
+    lambda: RadarConstants(snr_floor_db=-5000.0, snr_cap_db=-4000.0),
 ])
 def test_invalid_parameters_raise(build):
     with pytest.raises(ValueError):
