@@ -289,13 +289,36 @@ def evaluate(cp: ControlPoint, env: Environment, consts: RadarConstants,
     )
 
 
+def _raw_snr_table(t_d: np.ndarray, n_h: np.ndarray, env: Environment,
+                   consts: RadarConstants) -> np.ndarray:
+    """_raw_snr of every (t_d, n_h) pair, shaped (len(t_d), len(n_h))."""
+    if np.any(n_h < 1) or np.any(n_h > consts.n_h_total):
+        raise ValueError("n_h values must lie in [1, n_h_total]")
+    return _raw_snr(t_d[:, None], n_h[None, :], env, consts)
+
+
+def _evaluate_rows(t_d: np.ndarray, n_h: np.ndarray, snr: np.ndarray,
+                   f_t: np.ndarray, env: Environment, consts: RadarConstants,
+                   shape: UtilityShape):
+    """(q, g, u) of rows (t_d[i], n_h[i], clamped snr[i]) at every f_t.
+
+    One batched formula chain and one root solve over all rows; each
+    result is shaped (rows, len(f_t)).
+    """
+    q, g = _task_chain(snr[:, None], t_d[:, None], f_t[None, :],
+                       n_h[:, None], env, consts, track_sharpness_batch,
+                       np.sqrt)[:2]
+    u = np.clip((q - shape.q_min) / (shape.q_max - shape.q_min), 0.0, 1.0)
+    return q, g, u
+
+
 @dataclass(frozen=True)
 class GridEvaluation:
     """evaluate() over a full control grid, as arrays.
 
-    All arrays are shaped (len(t_d), len(f_t), len(n_h)); ``feasible``
-    and ``snr_linear`` are read-only views.  Where ``feasible`` is False
-    the value arrays hold NaN; consume them through the mask.
+    All arrays are shaped (len(t_d), len(f_t), len(n_h)) and are views;
+    ``feasible`` and ``snr_linear`` are read-only.  Where ``feasible`` is
+    False the value arrays hold NaN; consume them through the mask.
     """
 
     feasible: np.ndarray   # bool
@@ -320,21 +343,20 @@ def evaluate_grid(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
         n_h: 1-D integer array of element counts, ascending.
         env, consts, shape: as for evaluate().
     """
-    t_d = np.asarray(t_d, dtype=np.float64).reshape(-1, 1, 1)
-    f_t = np.asarray(f_t, dtype=np.float64).reshape(1, -1, 1)
-    n_h = np.asarray(n_h, dtype=np.float64).reshape(1, 1, -1)
-    if np.any(n_h < 1) or np.any(n_h > consts.n_h_total):
-        raise ValueError("n_h values must lie in [1, n_h_total]")
-
-    raw = _raw_snr(t_d, n_h, env, consts)              # (nt, 1, nn)
+    t_d = np.asarray(t_d, dtype=np.float64).reshape(-1)
+    f_t = np.asarray(f_t, dtype=np.float64).reshape(-1)
+    n_h = np.asarray(n_h, dtype=np.float64).reshape(-1)
+    raw = _raw_snr_table(t_d, n_h, env, consts)        # (nt, nn)
     feasible = raw >= consts.snr_floor
     snr = np.minimum(raw, consts.snr_cap)
-    q, g = _task_chain(snr, t_d, f_t, n_h, env, consts,
-                       track_sharpness_batch, np.sqrt)[:2]
-    u = np.clip((q - shape.q_min) / (shape.q_max - shape.q_min), 0.0, 1.0)
-    for fresh in (q, g, u):
-        np.copyto(fresh, np.nan, where=~feasible)
-    snr = np.where(feasible, snr, np.nan)
-    return GridEvaluation(feasible=np.broadcast_to(feasible, q.shape),
+    nt, nn = raw.shape
+    values = _evaluate_rows(np.repeat(t_d, nn), np.tile(n_h, nt),
+                            snr.ravel(), f_t, env, consts, shape)
+    for fresh in values:
+        np.copyto(fresh, np.nan, where=~feasible.reshape(-1, 1))
+    q, g, u = (v.reshape(nt, nn, -1).transpose(0, 2, 1) for v in values)
+    snr = np.where(feasible, snr, np.nan)[:, None, :]
+    return GridEvaluation(feasible=np.broadcast_to(feasible[:, None, :],
+                                                   q.shape),
                           quality=q, resource=g, utility=u,
                           snr_linear=np.broadcast_to(snr, q.shape))

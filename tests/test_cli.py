@@ -1,7 +1,10 @@
 """End-to-end tests of the command line front end."""
 
+import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sapa_rrm import cli
@@ -14,6 +17,8 @@ from sapa_rrm.radar_model import (
     evaluate,
     linear_to_db,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EVAL_BASE = ["eval", "--maneuver-std", "10", "--corr-time", "4",
              "--td", "20", "--ft", "1", "--nh", "48"]
@@ -312,6 +317,37 @@ def test_sweep_outputs_independent_of_threads(config_path, tmp_path,
             (threaded / name).read_bytes(), name
     hist = (serial / "element_histogram.csv").read_text().splitlines()
     assert len(hist) > 2  # config names a split grid, so bins are emitted
+
+
+# Recorded with numpy 2.4.6, before set-point enumeration skipped the
+# points that the SNR cap dominates.  The values come from numpy's pow and
+# sqrt, so another numpy may need a new recording; say why when making one.
+SHIPPED_SWEEP_DIGESTS = {
+    "campaign_70km":
+        "d739abc240222205fe22ad05f63bf3920e06a3724a2b83cfa05393a0b8eeea55",
+    "campaign_250km":
+        "32c62c44a6a18f7ef82cf3cf44354c9ab78684176bff89cd0ef311e93aa3b592",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SWEEP_DIGESTS))
+def test_shipped_sweep_csvs_match_recorded_digest(name, tmp_path, capsys):
+    """Byte-identical sweep outputs for a shipped config cut to 2 runs:
+    one SHA-256 over every written file's relative path and bytes."""
+    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text(
+        encoding="utf-8"))
+    doc["sweep"]["n_mc"] = 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for written in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest.update(written.relative_to(out).as_posix().encode() + b"\0")
+        digest.update(written.read_bytes())
+    assert digest.hexdigest() == SHIPPED_SWEEP_DIGESTS[name], \
+        f"recorded with numpy 2.4.6, running numpy {np.__version__}"
 
 
 def test_sweep_without_histogram_grid_exits_2(tmp_path, capsys):

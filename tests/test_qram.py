@@ -34,6 +34,7 @@ from sapa_rrm.radar_model import (
     Environment,
     RadarConstants,
     UtilityShape,
+    _raw_snr_table,
     evaluate,
     evaluate_grid,
 )
@@ -130,7 +131,13 @@ def test_enumerate_matches_grid_evaluation():
                        np.asarray(SMALL_GRID.f_t_values),
                        np.asarray(SMALL_GRID.n_h_values, dtype=float),
                        NEAR_ENV, CONSTS, SHAPE)
-    assert len(pts) == int(ge.feasible.sum())
+    # the kept points are the feasible ones minus those whose t_d follows
+    # the first capped t_d of their n_h; NEAR_ENV reaches the SNR cap at
+    # every grid point, so the 18 points of the last two t_d go
+    assert int(ge.feasible.sum()) == SMALL_GRID.size == 27
+    assert (ge.snr_linear == CONSTS.snr_cap).all()
+    assert len(pts) == int(ge.feasible.sum()) - 18
+    assert list(pts.flat_index) == list(range(9))
     # flat order is t_d-major, then f_t, then n_h
     assert list(pts.flat_index) == sorted(pts.flat_index)
     # the grid path and the scalar path use different root solvers, so
@@ -157,6 +164,9 @@ def test_enumerate_keeps_only_feasible_points():
 def test_enumerate_rejects_nonpositive_weight():
     with pytest.raises(ValueError):
         enumerate_setpoints(NEAR_ENV, 0.0, SMALL_GRID, CONSTS, SHAPE)
+    # 0 * inf would give NaN weighted utilities and an empty hull
+    with pytest.raises(ValueError):
+        enumerate_setpoints(NEAR_ENV, math.inf, SMALL_GRID, CONSTS, SHAPE)
 
 
 def test_task_setpoints_indexing():
@@ -302,6 +312,116 @@ def test_hull_indices_match_two_key_oracle_on_enumerated_tasks(env, weight):
     pts = enumerate_setpoints(env, weight, SMALL_GRID, CONSTS, SHAPE)
     assert _hull_indices(pts.resource, pts.weighted_utility) == \
         two_key_hull_indices(pts.resource, pts.weighted_utility)
+
+
+# ---------------------------------------------------------------------------
+# cap-dominated points: enumerate_setpoints against the unpruned grid
+
+SPLIT_GRID = load_config(ROOT / "configs" / "defaults.json").grid("split")
+GRIDS = {"small": SMALL_GRID, "split": SPLIT_GRID}
+
+
+def assert_pruned_matches_oracle(env, weight, grid):
+    """Check enumerate_setpoints against every feasible point of
+    evaluate_grid; return the oracle's feasible and capped masks."""
+    ge = evaluate_grid(np.asarray(grid.t_d_values),
+                       np.asarray(grid.f_t_values),
+                       np.asarray(grid.n_h_values, dtype=float),
+                       env, CONSTS, SHAPE)
+    feasible = ge.feasible
+    capped = ge.snr_linear == CONSTS.snr_cap  # raw SNR at or over the cap
+    first = np.argmax(capped, axis=0)         # first capped t_d index
+    t_index = np.arange(capped.shape[0])[:, None, None]
+    dominated = capped & (t_index > first)
+
+    pts = enumerate_setpoints(env, weight, grid, CONSTS, SHAPE)
+    assert np.array_equal(pts.flat_index,
+                          np.flatnonzero(feasible & ~dominated))
+    kept = pts.flat_index
+    u = ge.utility.ravel()[kept]
+    for got, want in ((pts.quality, ge.quality.ravel()[kept]),
+                      (pts.resource, ge.resource.ravel()[kept]),
+                      (pts.utility, u),
+                      (pts.weighted_utility, weight * u)):
+        assert got.tobytes() == want.tobytes()
+
+    # a dropped point buys exactly its first capped t_d's utility and
+    # quality, at a resource no smaller
+    it, jf, kn = np.nonzero(dominated)
+    first_t = first[jf, kn]
+    for values in (ge.utility, ge.quality):
+        assert np.array_equal(values[it, jf, kn], values[first_t, jf, kn])
+    assert np.all(ge.resource[it, jf, kn] >= ge.resource[first_t, jf, kn])
+
+    flat = np.flatnonzero(feasible)
+    u = ge.utility.ravel()[flat]
+    unpruned = TaskSetPoints(grid=grid, flat_index=flat,
+                             resource=ge.resource.ravel()[flat],
+                             weighted_utility=weight * u,
+                             quality=ge.quality.ravel()[flat], utility=u)
+    assert build_majorant(pts) == build_majorant(unpruned)
+    return feasible, capped
+
+
+@given(task_envs, st.floats(min_value=0.01, max_value=1.0),
+       st.sampled_from(sorted(GRIDS)))
+@settings(deadline=None, max_examples=80)
+def test_enumerate_drops_only_cap_dominated_points(env, weight, grid_name):
+    assert_pruned_matches_oracle(env, weight, GRIDS[grid_name])
+
+
+def env_on_cap(grid, t_index, n_h):
+    """An environment whose raw SNR at (t_d_values[t_index], n_h) is
+    exactly the cap: the rcs is stepped one ulp at a time onto it."""
+    t_d = np.array([grid.t_d_values[t_index]])
+    nh = np.array([float(n_h)])
+    for range_m in (61e3, 62e3, 47e3):
+        fields = dict(range=range_m, bearing=0.3, maneuver_std=10.0,
+                      corr_time=4.0)
+        rcs = CONSTS.snr_cap / _raw_snr_table(
+            t_d, nh, Environment(rcs=1.0, **fields), CONSTS)[0, 0]
+        for _ in range(16):
+            env = Environment(rcs=float(rcs), **fields)
+            raw = _raw_snr_table(t_d, nh, env, CONSTS)[0, 0]
+            if raw == CONSTS.snr_cap:
+                return env
+            rcs = np.nextafter(rcs, math.inf if raw < CONSTS.snr_cap
+                               else -math.inf)
+    raise AssertionError("no rcs puts the raw SNR exactly on the cap")
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_enumerate_keeps_a_t_d_whose_snr_lands_exactly_on_the_cap(
+        grid_name):
+    grid = GRIDS[grid_name]
+    t_index = 1 if grid is SMALL_GRID else 27  # 20 ms and 20.2 ms
+    env = env_on_cap(grid, t_index, 24)
+    k = grid.n_h_values.index(24)
+    raw = _raw_snr_table(np.asarray(grid.t_d_values),
+                         np.asarray(grid.n_h_values, dtype=float),
+                         env, CONSTS)
+    assert raw[t_index, k] == CONSTS.snr_cap
+    feasible, capped = assert_pruned_matches_oracle(env, 0.6, grid)
+    assert capped[t_index, :, k].all()
+    assert not capped[t_index - 1, :, k].any()
+    assert capped[t_index + 1:, :, k].all()
+
+
+CAPPED_EVERYWHERE_ENV = Environment(range=10e3, bearing=0.0, rcs=10.0,
+                                    maneuver_std=5.0, corr_time=4.0)
+NEVER_CAPPED_ENV = Environment(range=250e3, bearing=0.0, rcs=1.0,
+                               maneuver_std=5.0, corr_time=4.0)
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+@pytest.mark.parametrize("env, claim", [
+    (CAPPED_EVERYWHERE_ENV, lambda feasible, capped: capped.all()),
+    (NEVER_CAPPED_ENV,
+     lambda feasible, capped: feasible.any() and not capped.any()),
+    (BLIND_ENV, lambda feasible, capped: not feasible.any()),
+], ids=["every-t_d-capped", "nothing-capped", "nothing-feasible"])
+def test_enumerate_pruning_edge_cases(env, claim, grid_name):
+    assert claim(*assert_pruned_matches_oracle(env, 0.4, GRIDS[grid_name]))
 
 
 # Recorded with numpy 2.4.6.  The values come from numpy's pow and sqrt,
