@@ -197,8 +197,12 @@ def cmd_allocate(parser: argparse.ArgumentParser,
             parser.error("--scene-seed must be >= 0")
         scene_cfg = replace(scene_cfg, seed=args.scene_seed)
     scene = generate_scene(scene_cfg)
-    [result] = solve_scene(scene, grid, (args.budget,), cfg.radar,
-                           cfg.utility)
+    try:
+        [result] = solve_scene(scene, grid, (args.budget,), cfg.radar,
+                               cfg.utility)
+    except ValueError as exc:
+        parser.error(f"--config: the model cannot be solved on grid "
+                     f"{grid_name!r}: {exc}")
 
     lines = [SCHEMA_HEADER,
              "task,weight,range_km,bearing_deg,rcs_dbsm,maneuver_std,"
@@ -252,7 +256,11 @@ def cmd_sweep(parser: argparse.ArgumentParser,
         parser.error(f"--config: sweep.grids: the element histogram needs "
                      f"a grid named {HISTOGRAM_GRID!r}, got "
                      f"{list(cfg.sweep.grid_names)}")
-    result = sweep(cfg.sweep, cfg.radar, cfg.utility, threads=args.threads)
+    try:
+        result = sweep(cfg.sweep, cfg.radar, cfg.utility,
+                       threads=args.threads)
+    except ValueError as exc:
+        parser.error(f"--config: the model cannot be solved on {exc}")
     written = write_sweep_outputs(result, args.out,
                                   histogram_budgets=cfg.histogram_budgets)
     print(f"wrote {len(written)} files to {args.out}")

@@ -261,6 +261,10 @@ def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
 
     Returns:
         SweepResult with per-run metric tables and their aggregate.
+
+    Raises:
+        ValueError: naming the grid, when the model cannot be solved on
+            one of its points.
     """
     if threads is not None and threads < 0:
         raise ValueError("threads must be >= 0")
@@ -271,11 +275,18 @@ def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
         threads = min(32, len(os.sched_getaffinity(0))
                       if hasattr(os, "sched_getaffinity")
                       else os.cpu_count() or 1)
+
+    def cells(scene, name, grid, task_map):
+        try:
+            metrics = evaluate_scene(scene, grid, cfg.budgets, consts, shape,
+                                     task_map)
+        except ValueError as exc:
+            raise ValueError(f"grid {name!r}: {exc}") from exc
+        return zip(((name, b) for b in cfg.budgets), metrics)
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        runs = tuple({(name, b): m for name, grid in cfg.grids
-                      for b, m in zip(cfg.budgets, evaluate_scene(
-                          scene, grid, cfg.budgets, consts, shape,
-                          pool.map))}
+        runs = tuple({key: m for name, grid in cfg.grids
+                      for key, m in cells(scene, name, grid, pool.map)}
                      for scene in scenes)
     aggregate = aggregate_runs(runs, cfg.budgets, cfg.grid_names)
     return SweepResult(config=cfg, run_seeds=seeds, runs=runs,

@@ -2,9 +2,9 @@
 
 The solver follows the classic Q-RAM recipe: enumerate the feasible
 (resource, weighted utility) set-points of every task, less those that
-the SNR cap makes dominated, compress each task to its concave
-majorant, then walk all hull segments in order of decreasing marginal
-utility until the radar time budget runs out.  A brute-force
+cannot be hull vertices, compress each task to its concave majorant,
+then walk all hull segments in order of decreasing marginal utility
+until the radar time budget runs out.  A brute-force
 multiple-choice-knapsack oracle is included for validating the greedy
 result on small instances.
 """
@@ -22,8 +22,11 @@ from .radar_model import (
     Environment,
     RadarConstants,
     UtilityShape,
-    _evaluate_rows,
+    _evaluate_lanes,
+    _lane_chain,
     _raw_snr_table,
+    _row_terms,
+    _utility_columns,
     evaluate_grid,  # noqa: F401  still looked up as qram.evaluate_grid
 )
 
@@ -78,9 +81,10 @@ class SetPoint:
 
 @dataclass(frozen=True, eq=False)
 class TaskSetPoints:
-    """Undominated feasible set-points of one task, stored as arrays.
+    """The feasible set-points of one task that can be hull vertices,
+    stored as arrays.
 
-    A 200-task scene over the default split grid still holds 1.4 to 5.5
+    A 200-task scene over the default split grid still holds 0.6 to 1.5
     million of them, far too many for per-point objects; indexing
     decodes one entry into a SetPoint.  Order is deterministic:
     t_d-major, then f_t, then n_h.
@@ -111,18 +115,55 @@ class TaskSetPoints:
                         utility=float(self.utility[i]))
 
 
+def _columns_to_solve(row: tuple, t_d: np.ndarray, f_t: np.ndarray,
+                      n_h: np.ndarray, consts: RadarConstants,
+                      shape: UtilityShape):
+    """Per (t_d, n_h) row, the f_t columns whose point can be a hull
+    vertex: f_t[lo:end].
+
+    A u = 0 point adds no utility, so it is never a vertex.  All u = 1
+    points buy the same utility, and the hull keeps only the cheapest of
+    them (ties: the first).  A u = 1 point has 0 <= v0 <= q_max/theta,
+    and its cost rises with v0 and with f_t, so the cost lies between
+    the bounds these give.  The columns left are those whose utility is
+    not surely 0 or 1, and the u = 1 columns whose lower bound is at or
+    below the smallest upper bound.  The lower bound is f_t times its
+    value at 1 Hz, up to rounding, which a 1e-12 widening covers.
+    """
+    lo, hi = _utility_columns(row, f_t, shape)
+    one = hi < f_t.size
+    if not one.any():
+        return lo, hi
+
+    def cost(f, v0):  # g with the root fixed at v0
+        return _lane_chain(row, t_d, f, n_h, consts, lambda alpha, beta: v0,
+                           np.sqrt)[1]
+
+    # the upper bound is smallest at a row's first u = 1 column
+    g_hi = cost(f_t[np.minimum(hi, f_t.size - 1)], shape.q_max / row[0])
+    end = np.searchsorted(f_t, g_hi[one].min() / cost(1.0, 0.0)
+                          * (1.0 + 1e-12), side="right")
+    return lo, np.maximum(hi, end)
+
+
 def enumerate_setpoints(env: Environment, weight: float, grid: ControlGrid,
                         consts: RadarConstants,
                         shape: UtilityShape) -> TaskSetPoints:
-    """Evaluate one task over a control grid, skipping dominated points.
+    """Evaluate one task over a control grid, keeping the points that can
+    be hull vertices.
 
-    A grid point is kept when it is feasible and no smaller t_d with the
-    same n_h already reaches the SNR cap.  The raw SNR grows with t_d
-    and does not depend on f_t, and every capped t_d of one (f_t, n_h)
-    buys bit-identical utility, only at a higher cost than the first
-    one.  So a dropped point is never a hull vertex, and swapping it for
-    that first point never lowers an allocation's utility.  The kept
-    (t_d, n_h) rows go through one batched model evaluation.
+    Two rules drop a feasible grid point before its root is solved, and
+    neither changes the hull:
+    - The SNR cap.  A point is dropped when a smaller t_d with the same
+      n_h already reaches the cap.  The raw SNR grows with t_d and does
+      not depend on f_t, and every capped t_d of one (f_t, n_h) buys
+      bit-identical utility, only at a higher cost than the first one.
+    - Utility in closed form (_columns_to_solve).  A point whose utility
+      is surely 0 is dropped, and so is a point whose utility is surely
+      1 and whose cost is surely above that of another such point.
+    The kept points go through one batched model evaluation.  A root
+    depends only on its own point, so their values equal evaluate_grid's
+    bit for bit.
 
     Args:
         env: target environment.
@@ -143,19 +184,24 @@ def enumerate_setpoints(env: Environment, weight: float, grid: ControlGrid,
     capped = raw >= consts.snr_cap
     capped_before = np.cumsum(capped, axis=0) - capped > 0
     it, kn = np.nonzero((raw >= consts.snr_floor) & ~capped_before)
-    q, g, u = _evaluate_rows(t_d[it], n_h[kn],
-                             np.minimum(raw[it, kn], consts.snr_cap), f_t,
-                             env, consts, shape)
-    nf, nn = f_t.size, n_h.size
-    flat = ((it[:, None] * nf + np.arange(nf)) * nn + kn[:, None]).ravel()
+    n_rows = n_h[kn]
+    row = _row_terms(np.minimum(raw[it, kn], consts.snr_cap), n_rows, env,
+                     consts, np.sqrt)
+    lo, end = _columns_to_solve(row, t_d[it], f_t, n_rows, consts, shape)
+    count = end - lo
+    r = np.repeat(np.arange(it.size), count)  # f_t[lo:end] of each row
+    jf = np.arange(r.size) - np.repeat(np.cumsum(count) - count - lo, count)
+    flat = (it[r] * f_t.size + jf) * n_h.size + kn[r]
     order = np.argsort(flat, kind="stable")  # each row is a sorted run
-    u = u.ravel()[order]
+    r, jf = r[order], jf[order]
+    q, g, u = _evaluate_lanes(tuple(x[r] for x in row), t_d[it[r]],
+                              f_t[jf], n_rows[r], consts, shape)
     return TaskSetPoints(
         grid=grid,
         flat_index=flat[order],
-        resource=g.ravel()[order],
+        resource=g,
         weighted_utility=weight * u,
-        quality=q.ravel()[order],
+        quality=q,
         utility=u,
     )
 

@@ -146,29 +146,42 @@ def _raw_snr(t_d, n_h, env: Environment, consts: RadarConstants):
             / env.range**4)
 
 
-def _task_chain(snr, t_d, f_t, n_h, env: Environment,
-                consts: RadarConstants, solve, sqrt):
-    """The model from the clamped SNR on: (q, g, v0, p_d, n_l).
+def _row_terms(snr, n_h, env: Environment, consts: RadarConstants, sqrt):
+    """The chain's factors that depend on the clamped SNR and n_h only.
 
-    Cross-talk loss, scan-broadened beamwidth, sharpness balance,
-    Swerling I detection and expected looks, at least 1/p_d.  Operators
-    only, so ``snr`` and the controls may be Python floats or
-    broadcastable arrays; ``solve`` and ``sqrt`` must match that choice.
-    Callers look the solver up as a module attribute at call time, so a
-    wrapper installed on that attribute sees every solve.
+    Cross-talk loss, scan-broadened beamwidth theta_bw, the sharpness
+    balance's alpha = 0.4 * f_t * k and beta, Swerling I detection p_d,
+    and the look-count factor gamma; returned as that tuple
+    (theta_bw, k, beta, p_d, gamma).  Operators only, so ``snr`` and
+    ``n_h`` may be Python floats or broadcastable arrays; ``sqrt`` must
+    match that choice.
     """
     xisnr = (0.8 + 0.2 * n_h / consts.n_h_total) * snr
     theta_bw = consts.alpha_bw / n_h / math.cos(env.bearing)
-    alpha = 0.4 * f_t * (env.range * theta_bw * math.sqrt(env.corr_time)
-                         / env.maneuver_std) ** 0.4
-    v0 = solve(alpha, xisnr - math.log(consts.p_fa))  # beta > 0: p_fa < 1
-    q = theta_bw * v0
+    k = (env.range * theta_bw * math.sqrt(env.corr_time)
+         / env.maneuver_std) ** 0.4
     p_d = consts.p_fa ** (1.0 / (1.0 + xisnr))
     gamma = 1.0 + 14.0 * sqrt(-math.log(consts.p_fa) / xisnr)
+    return theta_bw, k, xisnr - math.log(consts.p_fa), p_d, gamma
+
+
+def _lane_chain(row, t_d, f_t, n_h, consts: RadarConstants, solve, sqrt):
+    """The model from the row terms on: (q, g, v0, p_d, n_l).
+
+    Sharpness balance, angular error, expected looks (at least 1/p_d)
+    and radar time of each control lane, a (t_d, f_t, n_h) point whose
+    _row_terms are ``row``.  Each step after the solve rounds
+    monotonically in v0, so a solver that returns bounds on v0 gives
+    bounds on g.  Callers look the solver up as a module attribute at
+    call time, so a wrapper installed on that attribute sees every
+    solve.
+    """
+    theta_bw, k, beta, p_d, gamma = row
+    v0 = solve(0.4 * f_t * k, beta)  # beta > 0: p_fa < 1
     gv2 = gamma * v0 * v0
     n_l = sqrt(1.0 + gv2 * gv2) / p_d
     g = n_l * t_d * f_t * (n_h / consts.n_h_total)
-    return q, g, v0, p_d, n_l
+    return theta_bw * v0, g, v0, p_d, n_l
 
 
 def _sharpness_equation(v: float, alpha: float, beta: float) -> float:
@@ -225,6 +238,11 @@ def track_sharpness_batch(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     track_sharpness to the root tolerance; used on large control grids
     where per-point bisection would dominate the runtime.
 
+    Each lane stops after the first step with |step| <= 1e-15 t, so a
+    root depends only on its own (alpha, beta), not on which lanes share
+    the batch: any subset, order or shape of the lanes gives the same
+    bits.
+
     Accuracy: the root is as good as float64 allows.  Its balance
     residual |1 + (beta/2 + 2)v^2 - alpha*beta*v^2.4| stays within a
     small multiple of eps times the sum of the terms' magnitudes,
@@ -237,12 +255,15 @@ def track_sharpness_batch(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     c2 = np.asarray(alpha, dtype=np.float64) * beta
     t = c1 / c2 + c2 ** (-1.0 / 6.0)
     c1_5, c2_6 = 5.0 * c1, 6.0 * c2  # loop invariants of dp
+    done = np.zeros(np.shape(t), dtype=bool)
     for _ in range(24):
         t4 = t * t * t * t
         step = 1.0 + t4 * t * (c1 - c2 * t)  # p, divided in place
         step /= t4 * (c1_5 - c2_6 * t)       # by dp
+        step = np.where(done, 0.0, step)     # stopped lanes stay put
         t -= step
-        if np.all(np.abs(step) <= 1e-15 * t):
+        done |= np.abs(step) <= 1e-15 * t
+        if done.all():
             break
     else:
         raise ValueError("Newton did not converge; is alpha or beta NaN?")
@@ -275,8 +296,9 @@ def evaluate(cp: ControlPoint, env: Environment, consts: RadarConstants,
     if raw < consts.snr_floor:
         return TaskEvaluation(feasible=False)
     snr = min(raw, consts.snr_cap)
-    q, g, v0, p_d, n_l = _task_chain(snr, cp.t_d, cp.f_t, cp.n_h, env,
-                                     consts, track_sharpness, math.sqrt)
+    row = _row_terms(snr, cp.n_h, env, consts, math.sqrt)
+    q, g, v0, p_d, n_l = _lane_chain(row, cp.t_d, cp.f_t, cp.n_h, consts,
+                                     track_sharpness, math.sqrt)
     return TaskEvaluation(
         feasible=True,
         quality=q,
@@ -297,19 +319,63 @@ def _raw_snr_table(t_d: np.ndarray, n_h: np.ndarray, env: Environment,
     return _raw_snr(t_d[:, None], n_h[None, :], env, consts)
 
 
-def _evaluate_rows(t_d: np.ndarray, n_h: np.ndarray, snr: np.ndarray,
-                   f_t: np.ndarray, env: Environment, consts: RadarConstants,
-                   shape: UtilityShape):
-    """(q, g, u) of rows (t_d[i], n_h[i], clamped snr[i]) at every f_t.
+def _evaluate_lanes(row: tuple, t_d: np.ndarray, f_t: np.ndarray,
+                    n_h: np.ndarray, consts: RadarConstants,
+                    shape: UtilityShape):
+    """(q, g, u) of control lanes, each a (t_d, f_t, n_h) point.
 
-    One batched formula chain and one root solve over all rows; each
-    result is shaped (rows, len(f_t)).
+    One batched formula chain and one root solve over all lanes; the
+    arguments broadcast, and ``row`` holds each lane's _row_terms.
     """
-    q, g = _task_chain(snr[:, None], t_d[:, None], f_t[None, :],
-                       n_h[:, None], env, consts, track_sharpness_batch,
+    q, g = _lane_chain(row, t_d, f_t, n_h, consts, track_sharpness_batch,
                        np.sqrt)[:2]
     u = np.clip((q - shape.q_min) / (shape.q_max - shape.q_min), 0.0, 1.0)
     return q, g, u
+
+
+# |f(v)| up to this share of the balance terms' magnitudes is left to Newton
+_BALANCE_BAND = 1e-6
+
+
+def _utility_columns(row: tuple, f_t: np.ndarray, shape: UtilityShape):
+    """Per row, the f_t columns (ascending f_t) whose utility needs no
+    root solve.
+
+    In a row alpha = 0.4 f_t k, and the balance
+    f(v) = 1 + (beta/2 + 2)v^2 - alpha*beta*v^2.4 falls through its only
+    positive root.  So u > 0 (q < q_min) holds exactly when
+    f(q_min/theta) < 0, and u = 1 (q <= q_max) exactly when
+    f(q_max/theta) <= 0.  Each test is f_t beyond a per-row threshold,
+    (1 + (beta/2 + 2)v^2) / (0.4 k beta v^2.4) at v = q/theta.
+
+    Columns where |f| is within _BALANCE_BAND of the sum of the terms'
+    magnitudes, f_t within about 2e-6 of a threshold, are not settled:
+    only there can the root lie within a relative 8e-7 of q/theta, where
+    the rounding of the root and of q could decide the class.  A row
+    whose factors leave [1e-100, 1e100], where the thresholds could lose
+    precision, settles no column.
+
+    Returns:
+        (lo, hi) per row, lo <= hi: u = 0 at f_t[:lo], u = 1 at f_t[hi:].
+    """
+    theta_bw, k, beta = row[:3]
+    k4, c1 = 0.4 * k, 0.5 * beta + 2.0
+
+    def threshold(q):
+        v = q / theta_bw
+        v24 = v ** 2.4
+        return (1.0 + c1 * v * v) / (k4 * beta * v24), v24
+
+    zero, v24_lo = threshold(shape.q_min)
+    one, v24_hi = threshold(shape.q_max)
+    widen = (1.0 + _BALANCE_BAND) / (1.0 - _BALANCE_BAND)
+    lo = np.searchsorted(f_t, zero / widen)
+    hi = np.searchsorted(f_t, one * widen, side="right")
+    # v24_hi < v24_lo, so these bound all four factors
+    low = np.minimum(np.minimum(k4, beta), v24_hi)
+    high = np.maximum(np.maximum(k4, beta), v24_lo)
+    settled = (low >= 1e-100) & (high <= 1e100)
+    return np.where(settled, lo, 0), np.where(settled, hi, f_t.size)
 
 
 @dataclass(frozen=True)
@@ -350,8 +416,9 @@ def evaluate_grid(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
     feasible = raw >= consts.snr_floor
     snr = np.minimum(raw, consts.snr_cap)
     nt, nn = raw.shape
-    values = _evaluate_rows(np.repeat(t_d, nn), np.tile(n_h, nt),
-                            snr.ravel(), f_t, env, consts, shape)
+    t_rows, n_rows = np.repeat(t_d, nn)[:, None], np.tile(n_h, nt)[:, None]
+    row = _row_terms(snr.reshape(-1, 1), n_rows, env, consts, np.sqrt)
+    values = _evaluate_lanes(row, t_rows, f_t, n_rows, consts, shape)
     for fresh in values:
         np.copyto(fresh, np.nan, where=~feasible.reshape(-1, 1))
     q, g, u = (v.reshape(nt, nn, -1).transpose(0, 2, 1) for v in values)

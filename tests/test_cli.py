@@ -7,14 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sapa_rrm import cli
-from sapa_rrm.config import MAX_AXIS_VALUES
+from sapa_rrm import cli, radar_model
+from sapa_rrm.config import MAX_AXIS_VALUES, parse_config
 from sapa_rrm.radar_model import (
     ControlPoint,
     Environment,
     RadarConstants,
     UtilityShape,
     evaluate,
+    evaluate_grid,
     linear_to_db,
 )
 
@@ -266,6 +267,67 @@ def test_config_the_model_cannot_evaluate_exits_2(tmp_path, capsys, radar,
         cli.main(EVAL_BASE + ["--range", "50", "--config", str(path)])
     assert exc.value.code == 2
     assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_update_rate_newton_cannot_start_from_exits_cleanly(tmp_path,
+                                                           capsys):
+    # at 1e-300 Hz Newton's starting point overflows, but such points
+    # surely have u = 0, so allocate and sweep solve no root for them
+    doc = {**CONFIG_DOC, "grids": {
+        name: {**grid, "f_t_hz": [1e-300, 1.0]}
+        for name, grid in CONFIG_DOC["grids"].items()}}
+    grid = parse_config(doc).grid("full")
+    env = Environment(range=40e3, bearing=0.0, rcs=1.0, maneuver_std=10.0,
+                      corr_time=4.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="did not converge"):
+        evaluate_grid(np.asarray(grid.t_d_values),
+                      np.asarray(grid.f_t_values),
+                      np.asarray(grid.n_h_values, dtype=float), env,
+                      RadarConstants(), UtilityShape())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["allocate", "--budget", "0.3"], ["sweep"]):
+        assert cli.main(argv + ["--config", str(path),
+                                "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+
+def test_solver_failure_exits_2_naming_the_grid(config_path, tmp_path,
+                                                capsys, monkeypatch):
+    def failing(alpha, beta):
+        raise ValueError("Newton did not converge; is alpha or beta NaN?")
+
+    monkeypatch.setattr(radar_model, "track_sharpness_batch", failing)
+    for argv, grid in ((["allocate", "--budget", "0.3", "--grid", "full"],
+                        "full"),
+                       (["sweep"], "split")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(config_path),
+                             "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--config: the model cannot be solved on grid {grid!r}: " \
+               "Newton did not converge" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_beamwidth_the_root_solver_cannot_handle_exits_2(tmp_path, capsys):
+    # at alpha_bw = 1e-200, q/theta leaves the range where the utility
+    # classes are settled without a root, so Newton sees every point and
+    # fails; settling them would have funded no task instead
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CONFIG_DOC, "radar": {"alpha_bw": 1e-200}}),
+                    encoding="utf-8")
+    for argv in (["allocate", "--budget", "0.3"], ["sweep"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(path),
+                             "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "the model cannot be solved on grid 'split': Newton did " \
+               "not converge" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -7,6 +7,7 @@ invariants that hold across the whole parameter domain.
 """
 
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,12 +16,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sapa_rrm import radar_model
+from sapa_rrm.config import load_config
 from sapa_rrm.radar_model import (
     ControlPoint,
     Environment,
     RadarConstants,
     UtilityShape,
-    _task_chain,
+    _lane_chain,
+    _row_terms,
     db_to_linear,
     evaluate,
     evaluate_grid,
@@ -29,6 +32,7 @@ from sapa_rrm.radar_model import (
     track_sharpness_batch,
     utility,
 )
+from sapa_rrm.scenario import generate_scene
 
 CONSTS = RadarConstants()
 SHAPE = UtilityShape()
@@ -99,8 +103,9 @@ def chain(cp, env, snr, consts=CONSTS, solve=track_sharpness):
         calls.append((alpha, beta))
         return solve(alpha, beta)
 
-    q, g, v0, p_d, n_l = _task_chain(snr, cp.t_d, cp.f_t, cp.n_h, env,
-                                     consts, recording, math.sqrt)
+    row = _row_terms(snr, cp.n_h, env, consts, math.sqrt)
+    q, g, v0, p_d, n_l = _lane_chain(row, cp.t_d, cp.f_t, cp.n_h, consts,
+                                     recording, math.sqrt)
     (alpha, beta), = calls
     return SimpleNamespace(alpha=alpha, beta=beta, q=q, g=g, v0=v0,
                            p_d=p_d, n_l=n_l)
@@ -340,6 +345,84 @@ def test_batch_solver_matches_bisection():
 def test_batch_solver_reports_non_convergence():
     with pytest.raises(ValueError, match="did not converge"):
         track_sharpness_batch(np.array([1.0, np.nan]), np.array([100.0, 1e3]))
+
+
+# log10 of (alpha, beta) over the box the solver is specified on, so that
+# lanes in one batch stop after different numbers of iterations
+lane_factors = st.lists(
+    st.tuples(st.floats(min_value=-3.0, max_value=3.0),
+              st.floats(min_value=0.0, max_value=5.0)),
+    min_size=1, max_size=40)
+
+
+@given(lane_factors, st.data())
+@settings(deadline=None, max_examples=100)
+def test_batch_roots_depend_only_on_their_own_lane(pairs, data):
+    alpha, beta = 10.0 ** np.array(pairs).T
+    roots = track_sharpness_batch(alpha, beta)
+    n = roots.size
+    subsets = [data.draw(st.permutations(range(n))),
+               data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                  max_size=2 * n))]  # repeats lanes too
+    for idx in subsets:
+        idx = np.array(idx)
+        assert track_sharpness_batch(alpha[idx], beta[idx]).tobytes() == \
+            roots[idx].tobytes()
+    for i in range(n):  # one lane alone, as 0-d inputs
+        assert track_sharpness_batch(alpha[i], beta[i]) == roots[i]
+    if n % 2 == 0:
+        grid = track_sharpness_batch(alpha.reshape(2, -1),
+                                     beta.reshape(2, -1))
+        assert grid.tobytes() == roots.tobytes()
+
+
+def batch_coupled_roots(alpha, beta):
+    """Oracle: the former solve, which stepped every lane until the whole
+    batch met the stop test."""
+    c1 = 0.5 * beta + 2.0
+    c2 = alpha * beta
+    t = c1 / c2 + c2 ** (-1.0 / 6.0)
+    for _ in range(24):
+        t4 = t * t * t * t
+        p = 1.0 + t4 * t * (c1 - c2 * t)
+        step = p / (t4 * (5.0 * c1 - 6.0 * c2 * t))
+        t = t - step
+        if np.all(np.abs(step) <= 1e-15 * t):
+            return t * t * np.sqrt(t)
+    raise AssertionError("the coupled loop did not converge")
+
+
+def test_per_lane_roots_stay_within_8_ulps_of_the_batch_coupled_loop(
+        monkeypatch):
+    # the lanes evaluate_grid solves for the 20 tasks of each shipped
+    # scene behind tests/test_qram.py's hull digest, one batch per task
+    # and grid, as the coupled loop saw them
+    batches = []
+
+    def recording(alpha, beta):
+        batches.append(np.broadcast_arrays(alpha, beta))
+        return track_sharpness_batch(alpha, beta)
+
+    monkeypatch.setattr(radar_model, "track_sharpness_batch", recording)
+    root = Path(__file__).resolve().parents[1]
+    for name in ("campaign_70km", "campaign_250km"):
+        cfg = load_config(root / "configs" / f"{name}.json")
+        for task in generate_scene(cfg.scene).tasks[:20]:
+            for grid_name in ("split", "full"):
+                grid = cfg.grid(grid_name)
+                evaluate_grid(np.asarray(grid.t_d_values),
+                              np.asarray(grid.f_t_values),
+                              np.asarray(grid.n_h_values, dtype=float),
+                              task.environment, cfg.radar, cfg.utility)
+    monkeypatch.undo()
+    assert len(batches) == 80
+    moved = 0
+    for alpha, beta in batches:
+        new = track_sharpness_batch(alpha, beta).view(np.int64)
+        old = batch_coupled_roots(alpha, beta).view(np.int64)
+        assert np.abs(new - old).max() <= 8  # positive floats: ulps apart
+        moved += np.count_nonzero(new != old)
+    assert moved > 0  # the oracle does differ from today's stop
 
 
 def test_solvers_are_looked_up_at_call_time(monkeypatch):
