@@ -50,9 +50,8 @@ class ControlGrid:
 
     def __post_init__(self) -> None:
         for name in ("t_d_values", "f_t_values", "n_h_values"):
-            values = getattr(self, name)
-            object.__setattr__(self, name, tuple(values))
-            values = getattr(self, name)
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             if not _strictly_increasing(values):
@@ -84,9 +83,9 @@ class TaskSetPoints:
     """The feasible set-points of one task that can be hull vertices,
     stored as arrays.
 
-    A 200-task scene over the default split grid still holds 0.6 to 1.5
-    million of them, far too many for per-point objects; indexing
-    decodes one entry into a SetPoint.  Order is deterministic:
+    A 200-task scene of either shipped campaign (seed 1234) holds 16,340
+    to 98,870 of them on the split grid, too many for per-point objects;
+    indexing decodes one entry into a SetPoint.  Order is deterministic:
     t_d-major, then f_t, then n_h.
     """
 
@@ -121,19 +120,16 @@ def _columns_to_solve(row: tuple, t_d: np.ndarray, f_t: np.ndarray,
     """Per (t_d, n_h) row, the f_t columns whose point can be a hull
     vertex: f_t[lo:end].
 
-    A u = 0 point adds no utility, so it is never a vertex.  All u = 1
-    points buy the same utility, and the hull keeps only the cheapest of
-    them (ties: the first).  A u = 1 point has 0 <= v0 <= q_max/theta,
-    and its cost rises with v0 and with f_t, so the cost lies between
-    the bounds these give.  The columns left are those whose utility is
-    not surely 0 or 1, and the u = 1 columns whose lower bound is at or
-    below the smallest upper bound.  The lower bound is f_t times its
-    value at 1 Hz, up to rounding, which a 1e-12 widening covers.
+    A u = 0 point adds no utility, so it is never a vertex.  The cost
+    rises with v0 >= 0 and with f_t, and u = 1 means v0 <= q_max/theta,
+    so G, the least such upper bound over each row's first u = 1 column,
+    is at or above a real u = 1 point's cost.  A point whose v0 = 0 lower
+    bound exceeds G is dearer than that point and buys at most its
+    utility, the task weight: neither the hull nor an exact knapsack
+    needs it.  The lower bound is f_t times its value at 1 Hz, up to
+    rounding, which a 1e-12 widening covers.
     """
     lo, hi = _utility_columns(row, f_t, shape)
-    one = hi < f_t.size
-    if not one.any():
-        return lo, hi
 
     def cost(f, v0):  # g with the root fixed at v0
         return _lane_chain(row, t_d, f, n_h, consts, lambda alpha, beta: v0,
@@ -141,9 +137,9 @@ def _columns_to_solve(row: tuple, t_d: np.ndarray, f_t: np.ndarray,
 
     # the upper bound is smallest at a row's first u = 1 column
     g_hi = cost(f_t[np.minimum(hi, f_t.size - 1)], shape.q_max / row[0])
-    end = np.searchsorted(f_t, g_hi[one].min() / cost(1.0, 0.0)
-                          * (1.0 + 1e-12), side="right")
-    return lo, np.maximum(hi, end)
+    end = np.searchsorted(f_t, g_hi.min(initial=np.inf, where=hi < f_t.size)
+                          / cost(1.0, 0.0) * (1.0 + 1e-12), side="right")
+    return lo, np.maximum(lo, end)
 
 
 def enumerate_setpoints(env: Environment, weight: float, grid: ControlGrid,
@@ -158,9 +154,9 @@ def enumerate_setpoints(env: Environment, weight: float, grid: ControlGrid,
       n_h already reaches the cap.  The raw SNR grows with t_d and does
       not depend on f_t, and every capped t_d of one (f_t, n_h) buys
       bit-identical utility, only at a higher cost than the first one.
-    - Utility in closed form (_columns_to_solve).  A point whose utility
-      is surely 0 is dropped, and so is a point whose utility is surely
-      1 and whose cost is surely above that of another such point.
+    - Closed-form bounds (_columns_to_solve).  A point whose utility is
+      surely 0 is dropped, and so is any point surely dearer than a kept
+      u = 1 point, since it buys at most the same utility.
     The kept points go through one batched model evaluation.  A root
     depends only on its own point, so their values equal evaluate_grid's
     bit for bit.

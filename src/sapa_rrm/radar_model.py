@@ -249,25 +249,29 @@ def track_sharpness_batch(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     1 + (beta/2 + 2)v^2 + alpha*beta*v^2.4 (at most 16 eps; measured
     4.3 eps over alpha in [1e-3, 1e3], beta in [1, 1e5]).  The absolute
     residual is not small where the terms are large: they reach ~1e18
-    in that box, where one ulp of a term is already 256.
+    in that box, where one ulp of a term is already 256.  A balance that
+    overflows float64 near its root, or NaN input, raises ValueError.
     """
     c1 = 0.5 * np.asarray(beta, dtype=np.float64) + 2.0
     c2 = np.asarray(alpha, dtype=np.float64) * beta
-    t = c1 / c2 + c2 ** (-1.0 / 6.0)
-    c1_5, c2_6 = 5.0 * c1, 6.0 * c2  # loop invariants of dp
-    done = np.zeros(np.shape(t), dtype=bool)
-    for _ in range(24):
-        t4 = t * t * t * t
-        step = 1.0 + t4 * t * (c1 - c2 * t)  # p, divided in place
-        step /= t4 * (c1_5 - c2_6 * t)       # by dp
-        step = np.where(done, 0.0, step)     # stopped lanes stay put
-        t -= step
-        done |= np.abs(step) <= 1e-15 * t
-        if done.all():
-            break
-    else:
-        raise ValueError("Newton did not converge; is alpha or beta NaN?")
-    return t * t * np.sqrt(t)
+    try:  # t falls from its start, so only the first step can overflow
+        with np.errstate(over="raise", divide="raise"):
+            t = c1 / c2 + c2 ** (-1.0 / 6.0)
+            c1_5, c2_6 = 5.0 * c1, 6.0 * c2  # loop invariants of dp
+            done = np.zeros(np.shape(t), dtype=bool)
+            for _ in range(24):
+                t4 = t * t * t * t
+                step = 1.0 + t4 * t * (c1 - c2 * t)  # p, divided in place
+                step /= t4 * (c1_5 - c2_6 * t)       # by dp
+                step = np.where(done, 0.0, step)     # stopped lanes stay put
+                t -= step
+                done |= np.abs(step) <= 1e-15 * t
+                if done.all():
+                    return t * t * np.sqrt(t)
+    except FloatingPointError:
+        raise ValueError("Newton did not converge: the sharpness balance "
+                         "overflows float64") from None
+    raise ValueError("Newton did not converge; is alpha or beta NaN?")
 
 
 def utility(q: float, shape: UtilityShape) -> float:

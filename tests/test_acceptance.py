@@ -26,6 +26,7 @@ from sapa_rrm.config import parse_config
 from sapa_rrm.experiment import SweepConfig, sweep
 from sapa_rrm.qram import (
     ControlGrid,
+    TaskSetPoints,
     allocate,
     brute_force_allocate,
     build_majorant,
@@ -38,6 +39,7 @@ from sapa_rrm.radar_model import (
     RadarConstants,
     UtilityShape,
     evaluate,
+    evaluate_grid,
     track_sharpness_batch,
     utility,
 )
@@ -174,6 +176,20 @@ F_T_SET = tuple(round(0.1 + 0.1 * k, 10) for k in range(60))
 N_H_SET = tuple(range(6, 49, 6))
 
 
+def _feasible_setpoints(env, weight, grid, consts, shape):
+    """Every feasible point of the grid, none pruned, from evaluate_grid."""
+    ge = evaluate_grid(np.asarray(grid.t_d_values),
+                       np.asarray(grid.f_t_values),
+                       np.asarray(grid.n_h_values, dtype=float),
+                       env, consts, shape)
+    flat = np.flatnonzero(ge.feasible)
+    u = ge.utility.ravel()[flat]
+    return TaskSetPoints(grid=grid, flat_index=flat,
+                         resource=ge.resource.ravel()[flat],
+                         weighted_utility=weight * u,
+                         quality=ge.quality.ravel()[flat], utility=u)
+
+
 def test_03_greedy_stays_within_one_hull_segment_of_optimal():
     consts = RadarConstants()
     shape = UtilityShape()
@@ -201,13 +217,16 @@ def test_03_greedy_stays_within_one_hull_segment_of_optimal():
                               bearing=rng.uniform(-1.0, 1.0),
                               rcs=10.0 ** rng.uniform(-1.0, 1.0),
                               maneuver_std=man, corr_time=corr)
-            points = enumerate_setpoints(env, rng.uniform(0.2, 0.8),
-                                         grid, consts, shape)
+            weight = rng.uniform(0.2, 0.8)
+            points = enumerate_setpoints(env, weight, grid, consts, shape)
             assert len(points) <= 20
-            setpoint_lists.append(points)
             majorants.append(build_majorant(points))
-            if len(points):
-                max_total += max(p.resource for p in points)
+            # the budget and the exact optimum come from every feasible
+            # point, so neither depends on what enumerate_setpoints prunes
+            feasible = _feasible_setpoints(env, weight, grid, consts, shape)
+            setpoint_lists.append(feasible)
+            if len(feasible):
+                max_total += float(feasible.resource.max())
         r_tot = rng.uniform(0.01, max(max_total, 0.02))
 
         greedy = allocate(majorants, r_tot).total_utility

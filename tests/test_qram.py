@@ -134,7 +134,7 @@ def test_enumerate_matches_grid_evaluation():
                        NEAR_ENV, CONSTS, SHAPE)
     # NEAR_ENV reaches the SNR cap at every grid point, so only the 9
     # points of the first t_d can be kept; of those, u = 0 points and
-    # u = 1 points above the cheapest one go as well
+    # points dearer than the cheapest u = 1 one go as well
     assert int(ge.feasible.sum()) == SMALL_GRID.size == 27
     assert (ge.snr_linear == CONSTS.snr_cap).all()
     assert set(pts.flat_index.tolist()) <= set(range(9))
@@ -324,12 +324,13 @@ GRIDS = {"small": SMALL_GRID, "split": SPLIT_GRID}
 
 def assert_pruned_matches_oracle(env, weight, grid):
     """Check enumerate_setpoints against every feasible point of
-    evaluate_grid; return the oracle's feasible and capped masks.
+    evaluate_grid; return the oracle's feasible and capped masks and the
+    utilities of the other dropped points.
 
     The kept points are feasible and not cap-dominated, their values are
     evaluate_grid's bit for bit, and their hull is the unpruned one.  Each
     dropped point is one the hull cannot use: a capped t_d after the
-    first, a u = 0 point, or a u = 1 point dearer than the cheapest kept
+    first, a u = 0 point, or any point dearer than the cheapest kept
     u = 1 point."""
     ge = evaluate_grid(np.asarray(grid.t_d_values),
                        np.asarray(grid.f_t_values),
@@ -361,17 +362,15 @@ def assert_pruned_matches_oracle(env, weight, grid):
         assert np.array_equal(values[it, jf, kn], values[first_t, jf, kn])
     assert np.all(ge.resource[it, jf, kn] >= ge.resource[first_t, jf, kn])
 
-    # the other dropped points have u = 0, or u = 1 and cost more than
-    # the cheapest kept u = 1 point (strictly, so that the hull's tie
-    # rule cannot prefer a dropped one)
+    # the other dropped points have u = 0, or cost more than the cheapest
+    # kept u = 1 point, whatever their u (strictly, so that the hull's
+    # tie rule cannot prefer a dropped one)
     dropped = candidates.copy()
     dropped[kept] = False
     u_dropped = ge.utility.ravel()[dropped]
-    one = u_dropped == 1.0
-    assert np.all(one | (u_dropped == 0.0))
-    if one.any():
-        cheapest = pts.resource[pts.utility == 1.0].min()
-        assert np.all(ge.resource.ravel()[dropped][one] > cheapest)
+    cheapest = pts.resource.min(initial=math.inf, where=pts.utility == 1.0)
+    assert np.all((ge.resource.ravel()[dropped] > cheapest)
+                  | (u_dropped == 0.0))
 
     flat = np.flatnonzero(feasible)
     u = ge.utility.ravel()[flat]
@@ -380,7 +379,7 @@ def assert_pruned_matches_oracle(env, weight, grid):
                              weighted_utility=weight * u,
                              quality=ge.quality.ravel()[flat], utility=u)
     assert build_majorant(pts) == build_majorant(unpruned)
-    return feasible, capped
+    return feasible, capped, u_dropped
 
 
 @given(task_envs, st.floats(min_value=0.01, max_value=1.0),
@@ -422,7 +421,7 @@ def test_enumerate_keeps_a_t_d_whose_snr_lands_exactly_on_the_cap(
                          np.asarray(grid.n_h_values, dtype=float),
                          env, CONSTS)
     assert raw[t_index, k] == CONSTS.snr_cap
-    feasible, capped = assert_pruned_matches_oracle(env, 0.6, grid)
+    feasible, capped, _ = assert_pruned_matches_oracle(env, 0.6, grid)
     assert capped[t_index, :, k].all()
     assert not capped[t_index - 1, :, k].any()
     assert capped[t_index + 1:, :, k].all()
@@ -463,26 +462,30 @@ def env_on_quality(grid, t_index, f_index, n_h, q):
 def test_enumerate_keeps_a_point_whose_quality_lands_exactly_on_a_bound(
         grid_name, bound):
     # such a point sits in the margin band of the utility classes, where
-    # only the root solve can tell u = 1 from u < 1 and u = 0 from u > 0
-    grid = GRIDS[grid_name]
-    t_index = 1 if grid is SMALL_GRID else 27  # 20 ms and 20.2 ms
-    k = grid.n_h_values.index(24)
-    env = env_on_quality(grid, t_index, 1, 24, getattr(SHAPE, bound))
-    feasible, capped = assert_pruned_matches_oracle(env, 0.6, grid)
-    assert feasible[t_index, 1, k] and not capped[t_index, 1, k]
-    flat = (t_index * len(grid.f_t_values) + 1) * len(grid.n_h_values) + k
+    # only the root solve can tell u = 1 from u < 1 and u = 0 from u > 0;
+    # the grid is one row of two f_t, so that no cheaper u = 1 point can
+    # drop it by cost
+    t_index = 1 if grid_name == "small" else 27  # 20 ms and 20.2 ms
+    full = GRIDS[grid_name]
+    grid = ControlGrid(t_d_values=(full.t_d_values[t_index],),
+                       f_t_values=full.f_t_values[:2], n_h_values=(24,))
+    env = env_on_quality(grid, 0, 1, 24, getattr(SHAPE, bound))
+    feasible, capped, _ = assert_pruned_matches_oracle(env, 0.6, grid)
+    assert feasible[0, 1, 0] and not capped[0, 1, 0]
     pts = enumerate_setpoints(env, 0.6, grid, CONSTS, SHAPE)
-    i = int(np.searchsorted(pts.flat_index, flat))
-    assert pts.flat_index[i] == flat
-    assert pts.quality[i] == getattr(SHAPE, bound)
-    assert pts.utility[i] == (1.0 if bound == "q_max" else 0.0)
+    assert pts.flat_index[-1] == 1
+    assert pts.quality[-1] == getattr(SHAPE, bound)
+    assert pts.utility[-1] == (1.0 if bound == "q_max" else 0.0)
+
+
+FAR_ENV = Environment(range=250e3, bearing=0.2, rcs=1.0, maneuver_std=10.0,
+                      corr_time=4.0)
 
 
 def test_enumerate_solves_roots_through_the_module_attribute(monkeypatch):
     # the benchmark counts roots by wrapping this attribute, so every
     # solve must go through it; at 250 km most candidates need none
-    env = Environment(range=250e3, bearing=0.2, rcs=1.0, maneuver_std=10.0,
-                      corr_time=4.0)
+    env = FAR_ENV
     solve = radar_model.track_sharpness_batch
     roots = []
 
@@ -494,10 +497,17 @@ def test_enumerate_solves_roots_through_the_module_attribute(monkeypatch):
     monkeypatch.setattr(radar_model, "track_sharpness_batch", counting)
     pts = enumerate_setpoints(env, 0.5, SPLIT_GRID, CONSTS, SHAPE)
     monkeypatch.undo()
-    feasible, capped = assert_pruned_matches_oracle(env, 0.5, SPLIT_GRID)
+    feasible, capped, _ = assert_pruned_matches_oracle(env, 0.5, SPLIT_GRID)
     assert not capped.any()
     assert roots and sum(roots) == len(pts)
     assert 0 < len(pts) < feasible.sum() // 2
+
+
+def test_enumerate_drops_interior_points_dearer_than_a_full_utility_point():
+    # at 250 km the split grid holds u = 1 points, and many points with
+    # 0 < u < 1 that cost more than the cheapest of them
+    u_dropped = assert_pruned_matches_oracle(FAR_ENV, 0.5, SPLIT_GRID)[2]
+    assert np.any((u_dropped > 0.0) & (u_dropped < 1.0))
 
 
 CAPPED_EVERYWHERE_ENV = Environment(range=10e3, bearing=0.0, rcs=10.0,
@@ -514,7 +524,8 @@ NEVER_CAPPED_ENV = Environment(range=250e3, bearing=0.0, rcs=1.0,
     (BLIND_ENV, lambda feasible, capped: not feasible.any()),
 ], ids=["every-t_d-capped", "nothing-capped", "nothing-feasible"])
 def test_enumerate_pruning_edge_cases(env, claim, grid_name):
-    assert claim(*assert_pruned_matches_oracle(env, 0.4, GRIDS[grid_name]))
+    assert claim(*assert_pruned_matches_oracle(env, 0.4,
+                                               GRIDS[grid_name])[:2])
 
 
 # Recorded with numpy 2.4.6.  The values come from numpy's pow and sqrt,

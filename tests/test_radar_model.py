@@ -347,6 +347,15 @@ def test_batch_solver_reports_non_convergence():
         track_sharpness_batch(np.array([1.0, np.nan]), np.array([100.0, 1e3]))
 
 
+@pytest.mark.parametrize("alpha, beta", [(1e-300, 1e3), (1e-320, 1e-10)],
+                         ids=["root-near-1e748", "alpha-beta-underflows"])
+def test_batch_solver_reports_a_balance_beyond_float64(alpha, beta):
+    # finite, positive factors whose root float64 cannot hold: an error
+    # that says so, and no RuntimeWarning (warnings are errors here)
+    with pytest.raises(ValueError, match="overflows float64"):
+        track_sharpness_batch(np.array([1.0, alpha]), np.array([100.0, beta]))
+
+
 # log10 of (alpha, beta) over the box the solver is specified on, so that
 # lanes in one batch stop after different numbers of iterations
 lane_factors = st.lists(
