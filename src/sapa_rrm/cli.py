@@ -6,9 +6,8 @@ Subcommands
     sweep     Monte Carlo budget sweep, aggregate and per-run CSV out
 
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or validation
-failure.  sweep --threads N sets the worker count (0 or no flag picks
-one worker per usable CPU); the workers share out each scene's tasks,
-and the output does not depend on their number.
+failure.  A sweep runs in one thread; sweep --threads N is accepted
+for compatibility (N >= 0) and has no effect.
 
 Output schemas (all files start with the version line "# sapa-rrm v1",
 UTF-8, LF line endings):
@@ -257,8 +256,7 @@ def cmd_sweep(parser: argparse.ArgumentParser,
                      f"a grid named {HISTOGRAM_GRID!r}, got "
                      f"{list(cfg.sweep.grid_names)}")
     try:
-        result = sweep(cfg.sweep, cfg.radar, cfg.utility,
-                       threads=args.threads)
+        result = sweep(cfg.sweep, cfg.radar, cfg.utility)
     except ValueError as exc:
         parser.error(f"--config: the model cannot be solved on {exc}")
     written = write_sweep_outputs(result, args.out,
@@ -318,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True,
                          help="output directory")
     p_sweep.add_argument("--threads", type=int,
-                         help="worker threads (default or 0: one per CPU)")
+                         help="accepted and ignored: sweeps run in one "
+                              "thread")
     return parser
 
 

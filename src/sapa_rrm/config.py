@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
@@ -83,7 +84,7 @@ def _build(key: str, cls, **fields):
 def _as_number(key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(key, "must be a number")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # exact for ints of any size
         _fail(key, "must be finite")
     return float(value)
 
@@ -136,7 +137,10 @@ def _expand(key: str, value: Any, integer: bool = False) -> list:
             _fail(f"{key}.step", "must be positive")
         if stop < start:
             _fail(f"{key}.stop", "must be >= start")
-        count_exact = (stop - start) / step
+        try:
+            count_exact = (stop - start) / step
+        except OverflowError:  # an int quotient beyond the float range
+            count_exact = math.inf
         if not count_exact < MAX_AXIS_VALUES - 0.5:
             _fail(key, f"triple gives more than {MAX_AXIS_VALUES} values")
         count = round(count_exact)
@@ -303,7 +307,9 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 def loads_config(text: str) -> RunConfig:
     try:
         document = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # also an int past Python's digit limit
         raise ConfigError(f"<root>: not valid JSON ({exc})") from exc
     return parse_config(document)
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -170,29 +169,24 @@ def _metrics_from_allocation(result: AllocationResult,
 
 
 def solve_scene(scene: Scene, grid: ControlGrid, budgets: Sequence[float],
-                consts: RadarConstants, shape: UtilityShape,
-                task_map: Callable = map) -> list[AllocationResult]:
+                consts: RadarConstants,
+                shape: UtilityShape) -> list[AllocationResult]:
     """Allocate one scene over one grid at each of several budgets.
 
-    Each task's hull is built once, through ``task_map``: the builtin
-    ``map`` runs the tasks serially, an executor's ``map`` in parallel.
-    Hulls come back in task order, so scheduling cannot change the
-    result.  Only the cheap greedy scan repeats per budget.
+    Each task's hull is built once, in task order; only the cheap greedy
+    scan repeats per budget.
     """
-    def majorant(task):
-        return build_majorant(enumerate_setpoints(
-            task.environment, task.weight, grid, consts, shape))
-
-    return allocate_many(list(task_map(majorant, scene.tasks)), budgets)
+    return allocate_many([build_majorant(enumerate_setpoints(
+        task.environment, task.weight, grid, consts, shape))
+        for task in scene.tasks], budgets)
 
 
 def evaluate_scene(scene: Scene, grid: ControlGrid, budgets: Sequence[float],
-                   consts: RadarConstants, shape: UtilityShape,
-                   task_map: Callable = map) -> list[RunMetrics]:
+                   consts: RadarConstants,
+                   shape: UtilityShape) -> list[RunMetrics]:
     """Per-budget metrics of one scene solved over one grid."""
     return [_metrics_from_allocation(res, grid)
-            for res in solve_scene(scene, grid, budgets, consts, shape,
-                                   task_map)]
+            for res in solve_scene(scene, grid, budgets, consts, shape)]
 
 
 def _cell_stats(values: np.ndarray) -> CellStats:
@@ -245,19 +239,16 @@ def aggregate_runs(runs: Sequence[Mapping[tuple[str, float], RunMetrics]],
 
 
 def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
-          shape: UtilityShape = UtilityShape(),
-          threads: int | None = None) -> SweepResult:
+          shape: UtilityShape = UtilityShape()) -> SweepResult:
     """Full Monte Carlo campaign: all runs, grids and budgets.
 
-    Runs and grids are solved in order; each run's scene is generated
-    once, from a seed derived from (cfg.scene.seed, run index).  The
-    tasks of a scene are spread over one thread pool (see solve_scene),
-    so the result does not depend on the worker count.
+    Runs, grids and tasks are solved in order, in the calling thread;
+    each run's scene is generated once, from a seed derived from
+    (cfg.scene.seed, run index).
 
     Args:
         cfg: campaign description.
         consts, shape: model parameters, published defaults.
-        threads: worker count; None or 0 picks one per usable CPU (max 32).
 
     Returns:
         SweepResult with per-run metric tables and their aggregate.
@@ -266,28 +257,20 @@ def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
         ValueError: naming the grid, when the model cannot be solved on
             one of its points.
     """
-    if threads is not None and threads < 0:
-        raise ValueError("threads must be >= 0")
     seeds = tuple(derive_run_seed(cfg.scene.seed, r)
                   for r in range(cfg.n_mc))
     scenes = (generate_scene(replace(cfg.scene, seed=s)) for s in seeds)
-    if not threads:  # one worker per CPU this process may run on
-        threads = min(32, len(os.sched_getaffinity(0))
-                      if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1)
 
-    def cells(scene, name, grid, task_map):
+    def cells(scene, name, grid):
         try:
-            metrics = evaluate_scene(scene, grid, cfg.budgets, consts, shape,
-                                     task_map)
+            metrics = evaluate_scene(scene, grid, cfg.budgets, consts, shape)
         except ValueError as exc:
             raise ValueError(f"grid {name!r}: {exc}") from exc
         return zip(((name, b) for b in cfg.budgets), metrics)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        runs = tuple({key: m for name, grid in cfg.grids
-                      for key, m in cells(scene, name, grid, pool.map)}
-                     for scene in scenes)
+    runs = tuple({key: m for name, grid in cfg.grids
+                  for key, m in cells(scene, name, grid)}
+                 for scene in scenes)
     aggregate = aggregate_runs(runs, cfg.budgets, cfg.grid_names)
     return SweepResult(config=cfg, run_seeds=seeds, runs=runs,
                        aggregate=aggregate)

@@ -13,6 +13,7 @@ ranges meters, cross sections square meters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class RadarConstants:
     def __post_init__(self) -> None:
         if not self.k_rad > 0.0:
             raise ValueError("k_rad must be positive")
-        if not self.n_h_total >= 1:
-            raise ValueError("n_h_total must be at least 1")
+        if not 1 <= self.n_h_total <= sys.maxsize:
+            raise ValueError(f"n_h_total must lie in [1, {sys.maxsize}]")
         if not 0.0 < self.p_fa < 1.0:
             raise ValueError("p_fa must lie in (0, 1)")
         if not self.alpha_bw > 0.0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,8 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_targets < 1:
-            raise ValueError("n_targets must be at least 1")
+        if not 1 <= self.n_targets <= sys.maxsize:  # numpy's size limit
+            raise ValueError(f"n_targets must lie in [1, {sys.maxsize}]")
         if not 0.0 < self.range_interval[0] <= self.range_interval[1]:
             raise ValueError("range_interval must be positive and ordered")
         for name in ("bearing_interval", "rcs_interval_dbsm",

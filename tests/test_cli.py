@@ -270,6 +270,37 @@ def test_config_the_model_cannot_evaluate_exits_2(tmp_path, capsys, radar,
     assert not (tmp_path / "out").exists()
 
 
+HUGE = "1" + "0" * 400  # an int beyond the float range, as JSON text
+
+
+@pytest.mark.parametrize("section, value, needle", [
+    ({"utility": {"q_min_mrad": HUGE}},
+     HUGE, "utility.q_min_mrad: must be finite"),
+    ({"scene": {"range_km": [10.0, HUGE]}},
+     HUGE, "scene.range_km[1]: must be finite"),
+    ({"grids": {**CONFIG_DOC["grids"], "split": {
+        **CONFIG_DOC["grids"]["split"],
+        "n_h": {"start": 6, "step": 6, "stop": HUGE}}}},
+     HUGE, "grids.split.n_h: triple gives more than 100000 values"),
+    ({"scene": {"seed": HUGE}}, "1" * 5000, "<root>: not valid JSON"),
+    ({"radar": {"n_h_total": HUGE}}, HUGE, "radar: n_h_total must lie in"),
+    ({"scene": {"n_targets": HUGE}}, HUGE, "scene: n_targets must lie in"),
+], ids=["utility.q_min_mrad", "scene.range_km[1]", "grids.split.n_h.stop",
+        "scene.seed", "radar.n_h_total", "scene.n_targets"])
+def test_huge_integers_in_a_config_exit_2_naming_the_key(
+        tmp_path, capsys, section, value, needle):
+    # HUGE stands in as a string, then the JSON text gets the bare digits
+    text = json.dumps({**CONFIG_DOC, **section}).replace(f'"{HUGE}"', value)
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["allocate", "--budget", "0.5", "--config", str(path),
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_update_rate_newton_cannot_start_from_exits_cleanly(tmp_path,
                                                            capsys):
     # at 1e-300 Hz the sharpness balance overflows float64, which the

@@ -1,9 +1,14 @@
 """Unit tests for JSON configuration parsing and normalization."""
 
+import json
 import math
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapa_rrm.config import (
     ConfigError,
@@ -12,7 +17,7 @@ from sapa_rrm.config import (
     parse_config,
 )
 from sapa_rrm.radar_model import RadarConstants
-from sapa_rrm.scenario import SceneConfig
+from sapa_rrm.scenario import SceneConfig, generate_scene
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -240,3 +245,52 @@ def test_loads_config_rejects_malformed_json():
     with pytest.raises(ConfigError, match="not valid JSON"):
         loads_config("{not json")
     assert loads_config("{}").radar == RadarConstants()
+
+
+# ---------------------------------------------------------------------------
+# extreme numbers: a clean ConfigError, never a traceback
+
+
+def numeric_leaves(node, path=()):
+    """Paths to every int or float leaf of a decoded JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if (isinstance(node, (int, float))
+                          and not isinstance(node, bool)) else []
+    return [leaf for key, child in items
+            for leaf in numeric_leaves(child, path + (key,))]
+
+
+# the normalized document aliases the module defaults, so work on a copy
+DEFAULT_DOC = json.loads(parse_config({}).to_json())
+LEAVES = numeric_leaves(DEFAULT_DOC)
+EXTREME_NUMBERS = st.one_of(
+    st.sampled_from([10**400, -10**400, 2**63, sys.maxsize, -1, 0,
+                     sys.float_info.max, 5e-324, -0.0, math.inf, -math.inf,
+                     math.nan]),
+    st.integers(), st.floats())
+
+
+@given(st.lists(st.tuples(st.sampled_from(LEAVES), EXTREME_NUMBERS),
+                min_size=1, max_size=3))
+@settings(deadline=None, max_examples=300)
+def test_extreme_numbers_parse_or_raise_config_error(changes):
+    doc = json.loads(json.dumps(DEFAULT_DOC))
+    for path, value in changes:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    try:
+        parse_config(doc)
+    except ConfigError:
+        pass
+
+
+def test_seed_beyond_the_float_range_is_kept():
+    cfg = parse_config({"scene": {"seed": 10**400}})
+    assert cfg.scene.seed == 10**400
+    assert len(generate_scene(replace(cfg.scene, n_targets=2)).tasks) == 2

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import threading
 from dataclasses import replace
 
 import pytest
@@ -47,7 +46,7 @@ SMALL_SWEEP = SweepConfig(
 
 @pytest.fixture(scope="module")
 def small_result():
-    return sweep(SMALL_SWEEP, CONSTS, SHAPE, threads=2)
+    return sweep(SMALL_SWEEP, CONSTS, SHAPE)
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +90,6 @@ def test_sweep_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         SweepConfig(**base)
-
-
-def test_sweep_rejects_negative_threads():
-    with pytest.raises(ValueError):
-        sweep(SMALL_SWEEP, CONSTS, SHAPE, threads=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,47 +199,31 @@ def test_sweep_structure(small_result):
     assert agg.grid_names == ("split", "full")
 
 
-def test_sweep_result_independent_of_thread_count():
-    cfg = SweepConfig(budgets=(0.2, 0.6), grids=(("split", SPLIT),
-                                                 ("full", FULL)),
-                      n_mc=2, scene=SceneConfig(n_targets=10, seed=3))
-    serial = sweep(cfg, CONSTS, SHAPE, threads=1)
-    for threads in (3, 4):
-        threaded = sweep(cfg, CONSTS, SHAPE, threads=threads)
-        assert serial.run_seeds == threaded.run_seeds
-        assert serial.runs == threaded.runs
-        assert serial.aggregate == threaded.aggregate
-
-
-def test_sweep_solves_a_scenes_tasks_in_parallel(monkeypatch):
-    # the first two tasks of a one-run, one-grid sweep can only pass the
-    # barrier together, that is on two workers at once
-    barrier = threading.Barrier(2, timeout=10)
-    lock = threading.Lock()
+def test_sweep_enumerates_each_task_once_per_grid_in_task_order(
+        monkeypatch):
     calls = []
     enumerate_setpoints = experiment.enumerate_setpoints
 
-    def meeting(*args, **kwargs):
-        with lock:
-            calls.append(None)
-            first_two = len(calls) <= 2
-        if first_two:
-            barrier.wait()
-        return enumerate_setpoints(*args, **kwargs)
+    def recording(env, weight, grid, consts, shape):
+        calls.append((env, grid))
+        return enumerate_setpoints(env, weight, grid, consts, shape)
 
-    monkeypatch.setattr(experiment, "enumerate_setpoints", meeting)
-    cfg = SweepConfig(budgets=(0.5,), grids=(("split", SPLIT),), n_mc=1,
-                      scene=SceneConfig(n_targets=4, seed=2))
-    result = sweep(cfg, CONSTS, SHAPE, threads=2)
-    assert len(calls) == 4
-    assert result.runs == sweep(cfg, CONSTS, SHAPE, threads=1).runs
+    monkeypatch.setattr(experiment, "enumerate_setpoints", recording)
+    cfg = SweepConfig(budgets=(0.5,), grids=(("split", SPLIT),
+                                             ("full", FULL)),
+                      n_mc=2, scene=SceneConfig(n_targets=4, seed=2))
+    result = sweep(cfg, CONSTS, SHAPE)
+    scenes = [generate_scene(replace(cfg.scene, seed=s))
+              for s in result.run_seeds]
+    assert calls == [(task.environment, grid) for scene in scenes
+                     for _, grid in cfg.grids for task in scene.tasks]
 
 
 def test_sweep_generates_each_run_scene_once(monkeypatch):
     cfg = SweepConfig(budgets=(0.2, 0.6), grids=(("split", SPLIT),
                                                  ("full", FULL)),
                       n_mc=3, scene=SceneConfig(n_targets=6, seed=5))
-    plain = sweep(cfg, CONSTS, SHAPE, threads=2)
+    plain = sweep(cfg, CONSTS, SHAPE)
     seeds = []
 
     def counting(scene_cfg):
@@ -253,30 +231,9 @@ def test_sweep_generates_each_run_scene_once(monkeypatch):
         return generate_scene(scene_cfg)
 
     monkeypatch.setattr(experiment, "generate_scene", counting)
-    counted = sweep(cfg, CONSTS, SHAPE, threads=2)
+    counted = sweep(cfg, CONSTS, SHAPE)
     assert seeds == list(counted.run_seeds)
     assert counted == plain
-
-
-@pytest.mark.parametrize("allowed, workers", [
-    ({0}, 1), ({1, 3, 5}, 3), (set(range(40)), 32)])
-@pytest.mark.parametrize("threads", [None, 0])
-def test_default_worker_count_follows_cpu_affinity(monkeypatch, allowed,
-                                                   workers, threads):
-    sizes = []
-
-    class Recording(experiment.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(experiment.os, "sched_getaffinity",
-                        lambda pid: allowed, raising=False)
-    monkeypatch.setattr(experiment, "ThreadPoolExecutor", Recording)
-    cfg = SweepConfig(budgets=(0.5,), grids=(("full", FULL),), n_mc=1,
-                      scene=SceneConfig(n_targets=2, seed=2))
-    sweep(cfg, CONSTS, SHAPE, threads=threads)
-    assert sizes == [workers]
 
 
 def test_split_grid_never_trails_full_grid(small_result):
@@ -323,7 +280,7 @@ def test_written_layout_and_ordering(small_result, tmp_path):
 
 def test_histogram_file_is_header_only_without_matching_grid(tmp_path):
     full_only = replace(SMALL_SWEEP, grids=(("full", FULL),), n_mc=1)
-    write_sweep_outputs(sweep(full_only, CONSTS, SHAPE, threads=1),
+    write_sweep_outputs(sweep(full_only, CONSTS, SHAPE),
                         tmp_path, histogram_budgets=(0.2,))
     lines = (tmp_path / "element_histogram.csv").read_text().splitlines()
     assert lines == ["# sapa-rrm v1", "budget,n_h,mean_count"]
@@ -347,7 +304,7 @@ def test_rewrite_with_fewer_runs_removes_stale_run_files(small_result,
                                                         tmp_path):
     write_sweep_outputs(small_result, tmp_path)
     one_run = replace(SMALL_SWEEP, n_mc=1)
-    written = write_sweep_outputs(sweep(one_run, CONSTS, SHAPE, threads=1),
+    written = write_sweep_outputs(sweep(one_run, CONSTS, SHAPE),
                                   tmp_path)
     assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
         "run_0.csv"]
