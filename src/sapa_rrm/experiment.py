@@ -88,6 +88,9 @@ class SweepConfig:
             raise ValueError("budgets must lie in (0, 1]")
         if any(b >= c for b, c in zip(budgets, budgets[1:])):
             raise ValueError("budgets must be strictly increasing")
+        if any(float(fmt_budget(b)) != b for b in budgets):
+            raise ValueError("budgets must have at most 4 decimals, the "
+                             "precision of the CSV files")
         grids = tuple((str(n), g) for n, g in self.grids)
         object.__setattr__(self, "grids", grids)
         if not grids:

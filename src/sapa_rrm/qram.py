@@ -2,11 +2,11 @@
 
 The solver follows the classic Q-RAM recipe: enumerate the feasible
 (resource, weighted utility) set-points of every task, less those that
-cannot be hull vertices, compress each task to its concave majorant,
-then walk all hull segments in order of decreasing marginal utility
-until the radar time budget runs out.  A brute-force
-multiple-choice-knapsack oracle is included for validating the greedy
-result on small instances.
+radar_model.evaluate_candidates shows cannot be hull vertices, compress
+each task to its concave majorant, then walk all hull segments in order
+of decreasing marginal utility until the radar time budget runs out.  A
+brute-force multiple-choice-knapsack oracle is included for validating
+the greedy result on small instances.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from .radar_model import (
     Environment,
     RadarConstants,
     UtilityShape,
-    _evaluate_lanes,
-    _lane_chain,
-    _raw_snr_table,
-    _row_terms,
-    _utility_columns,
+    evaluate_candidates,
     evaluate_grid,  # noqa: F401  still looked up as qram.evaluate_grid
 )
 
@@ -114,52 +110,11 @@ class TaskSetPoints:
                         utility=float(self.utility[i]))
 
 
-def _columns_to_solve(row: tuple, t_d: np.ndarray, f_t: np.ndarray,
-                      n_h: np.ndarray, consts: RadarConstants,
-                      shape: UtilityShape):
-    """Per (t_d, n_h) row, the f_t columns whose point can be a hull
-    vertex: f_t[lo:end].
-
-    A u = 0 point adds no utility, so it is never a vertex.  The cost
-    rises with v0 >= 0 and with f_t, and u = 1 means v0 <= q_max/theta,
-    so G, the least such upper bound over each row's first u = 1 column,
-    is at or above a real u = 1 point's cost.  A point whose v0 = 0 lower
-    bound exceeds G is dearer than that point and buys at most its
-    utility, the task weight: neither the hull nor an exact knapsack
-    needs it.  The lower bound is f_t times its value at 1 Hz, up to
-    rounding, which a 1e-12 widening covers.
-    """
-    lo, hi = _utility_columns(row, f_t, shape)
-
-    def cost(f, v0):  # g with the root fixed at v0
-        return _lane_chain(row, t_d, f, n_h, consts, lambda alpha, beta: v0,
-                           np.sqrt)[1]
-
-    # the upper bound is smallest at a row's first u = 1 column
-    g_hi = cost(f_t[np.minimum(hi, f_t.size - 1)], shape.q_max / row[0])
-    end = np.searchsorted(f_t, g_hi.min(initial=np.inf, where=hi < f_t.size)
-                          / cost(1.0, 0.0) * (1.0 + 1e-12), side="right")
-    return lo, np.maximum(lo, end)
-
-
 def enumerate_setpoints(env: Environment, weight: float, grid: ControlGrid,
                         consts: RadarConstants,
                         shape: UtilityShape) -> TaskSetPoints:
     """Evaluate one task over a control grid, keeping the points that can
-    be hull vertices.
-
-    Two rules drop a feasible grid point before its root is solved, and
-    neither changes the hull:
-    - The SNR cap.  A point is dropped when a smaller t_d with the same
-      n_h already reaches the cap.  The raw SNR grows with t_d and does
-      not depend on f_t, and every capped t_d of one (f_t, n_h) buys
-      bit-identical utility, only at a higher cost than the first one.
-    - Closed-form bounds (_columns_to_solve).  A point whose utility is
-      surely 0 is dropped, and so is any point surely dearer than a kept
-      u = 1 point, since it buys at most the same utility.
-    The kept points go through one batched model evaluation.  A root
-    depends only on its own point, so their values equal evaluate_grid's
-    bit for bit.
+    be hull vertices: those radar_model.evaluate_candidates keeps.
 
     Args:
         env: target environment.
@@ -173,33 +128,10 @@ def enumerate_setpoints(env: Environment, weight: float, grid: ControlGrid,
     """
     if not 0.0 < weight < math.inf:
         raise ValueError("weight must be positive and finite")
-    t_d = np.asarray(grid.t_d_values, dtype=np.float64)
-    f_t = np.asarray(grid.f_t_values, dtype=np.float64)
-    n_h = np.asarray(grid.n_h_values, dtype=np.float64)
-    raw = _raw_snr_table(t_d, n_h, env, consts)          # (nt, nn)
-    capped = raw >= consts.snr_cap
-    capped_before = np.cumsum(capped, axis=0) - capped > 0
-    it, kn = np.nonzero((raw >= consts.snr_floor) & ~capped_before)
-    n_rows = n_h[kn]
-    row = _row_terms(np.minimum(raw[it, kn], consts.snr_cap), n_rows, env,
-                     consts, np.sqrt)
-    lo, end = _columns_to_solve(row, t_d[it], f_t, n_rows, consts, shape)
-    count = end - lo
-    r = np.repeat(np.arange(it.size), count)  # f_t[lo:end] of each row
-    jf = np.arange(r.size) - np.repeat(np.cumsum(count) - count - lo, count)
-    flat = (it[r] * f_t.size + jf) * n_h.size + kn[r]
-    order = np.argsort(flat, kind="stable")  # each row is a sorted run
-    r, jf = r[order], jf[order]
-    q, g, u = _evaluate_lanes(tuple(x[r] for x in row), t_d[it[r]],
-                              f_t[jf], n_rows[r], consts, shape)
-    return TaskSetPoints(
-        grid=grid,
-        flat_index=flat[order],
-        resource=g,
-        weighted_utility=weight * u,
-        quality=q,
-        utility=u,
-    )
+    flat, q, g, u = evaluate_candidates(grid.t_d_values, grid.f_t_values,
+                                        grid.n_h_values, env, consts, shape)
+    return TaskSetPoints(grid=grid, flat_index=flat, resource=g,
+                         weighted_utility=weight * u, quality=q, utility=u)
 
 
 @dataclass(frozen=True)

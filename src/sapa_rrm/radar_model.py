@@ -6,6 +6,10 @@ sub-aperture tasks, the track-sharpness balance equation, Swerling I
 detection, the expected number of looks per update, and a linear
 utility on the achieved angular accuracy.
 
+The chain runs on one control point (evaluate), on a whole grid
+(evaluate_grid, the unpruned oracle) and on the grid points that can be
+vertices of a task's (g, u) hull (evaluate_candidates).
+
 All operations are pure functions; angles are radians, times seconds,
 ranges meters, cross sections square meters.
 """
@@ -257,7 +261,7 @@ def track_sharpness_batch(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     c2 = np.asarray(alpha, dtype=np.float64) * beta
     try:  # t falls from its start, so only the first step can overflow
         with np.errstate(over="raise", divide="raise"):
-            t = c1 / c2 + c2 ** (-1.0 / 6.0)
+            t = c1 / c2 + np.power(c2, -1.0 / 6.0)  # not libm pow on 0-d
             c1_5, c2_6 = 5.0 * c1, 6.0 * c2  # loop invariants of dp
             done = np.zeros(np.shape(t), dtype=bool)
             for _ in range(24):
@@ -338,51 +342,6 @@ def _evaluate_lanes(row: tuple, t_d: np.ndarray, f_t: np.ndarray,
     return q, g, u
 
 
-# |f(v)| up to this share of the balance terms' magnitudes is left to Newton
-_BALANCE_BAND = 1e-6
-
-
-def _utility_columns(row: tuple, f_t: np.ndarray, shape: UtilityShape):
-    """Per row, the f_t columns (ascending f_t) whose utility needs no
-    root solve.
-
-    In a row alpha = 0.4 f_t k, and the balance
-    f(v) = 1 + (beta/2 + 2)v^2 - alpha*beta*v^2.4 falls through its only
-    positive root.  So u > 0 (q < q_min) holds exactly when
-    f(q_min/theta) < 0, and u = 1 (q <= q_max) exactly when
-    f(q_max/theta) <= 0.  Each test is f_t beyond a per-row threshold,
-    (1 + (beta/2 + 2)v^2) / (0.4 k beta v^2.4) at v = q/theta.
-
-    Columns where |f| is within _BALANCE_BAND of the sum of the terms'
-    magnitudes, f_t within about 2e-6 of a threshold, are not settled:
-    only there can the root lie within a relative 8e-7 of q/theta, where
-    the rounding of the root and of q could decide the class.  A row
-    whose factors leave [1e-100, 1e100], where the thresholds could lose
-    precision, settles no column.
-
-    Returns:
-        (lo, hi) per row, lo <= hi: u = 0 at f_t[:lo], u = 1 at f_t[hi:].
-    """
-    theta_bw, k, beta = row[:3]
-    k4, c1 = 0.4 * k, 0.5 * beta + 2.0
-
-    def threshold(q):
-        v = q / theta_bw
-        v24 = v ** 2.4
-        return (1.0 + c1 * v * v) / (k4 * beta * v24), v24
-
-    zero, v24_lo = threshold(shape.q_min)
-    one, v24_hi = threshold(shape.q_max)
-    widen = (1.0 + _BALANCE_BAND) / (1.0 - _BALANCE_BAND)
-    lo = np.searchsorted(f_t, zero / widen)
-    hi = np.searchsorted(f_t, one * widen, side="right")
-    # v24_hi < v24_lo, so these bound all four factors
-    low = np.minimum(np.minimum(k4, beta), v24_hi)
-    high = np.maximum(np.maximum(k4, beta), v24_lo)
-    settled = (low >= 1e-100) & (high <= 1e100)
-    return np.where(settled, lo, 0), np.where(settled, hi, f_t.size)
-
-
 @dataclass(frozen=True)
 class GridEvaluation:
     """evaluate() over a full control grid, as arrays.
@@ -414,9 +373,8 @@ def evaluate_grid(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
         n_h: 1-D integer array of element counts, ascending.
         env, consts, shape: as for evaluate().
     """
-    t_d = np.asarray(t_d, dtype=np.float64).reshape(-1)
-    f_t = np.asarray(f_t, dtype=np.float64).reshape(-1)
-    n_h = np.asarray(n_h, dtype=np.float64).reshape(-1)
+    t_d, f_t, n_h = (np.asarray(x, dtype=np.float64).reshape(-1)
+                     for x in (t_d, f_t, n_h))
     raw = _raw_snr_table(t_d, n_h, env, consts)        # (nt, nn)
     feasible = raw >= consts.snr_floor
     snr = np.minimum(raw, consts.snr_cap)
@@ -432,3 +390,106 @@ def evaluate_grid(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
                                                    q.shape),
                           quality=q, resource=g, utility=u,
                           snr_linear=np.broadcast_to(snr, q.shape))
+
+
+def _columns_to_solve(row: tuple, t_d: np.ndarray, f_t: np.ndarray,
+                      n_h: np.ndarray, consts: RadarConstants,
+                      shape: UtilityShape):
+    """Per (t_d, n_h) row, the f_t columns whose point can be a hull
+    vertex, so that its root must be solved: f_t[lo:end].
+
+    In a row alpha = 0.4 f_t k, and the balance
+    f(v) = 1 + (beta/2 + 2)v^2 - alpha*beta*v^2.4 falls through its only
+    positive root.  So u > 0 (q < q_min) holds exactly when
+    f(q_min/theta) < 0, and u = 1 (q <= q_max) exactly when
+    f(q_max/theta) <= 0.  Each test is f_t beyond a per-row threshold,
+    (1 + (beta/2 + 2)v^2) / (0.4 k beta v^2.4) at v = q/theta.  Columns
+    where |f| is within 1e-6 of the sum of the terms' magnitudes, f_t
+    within about 2e-6 of a threshold, are left to Newton, not settled:
+    only there can the root lie within a relative 8e-7 of q/theta, where
+    the rounding of the root and of q could decide the class.  A row
+    whose factors leave [1e-100, 1e100], where the thresholds could lose
+    precision, settles no column.
+
+    A settled u = 0 point, f_t[:lo], adds no utility, so it is never a
+    vertex.  The cost rises with v0 >= 0 and with f_t, and u = 1 means
+    v0 <= q_max/theta, so G, the least such upper bound over each row's
+    first settled u = 1 column, is at or above a real u = 1 point's
+    cost.  A point whose v0 = 0 lower bound exceeds G is dearer than
+    that point and buys at most its utility: neither the hull nor an
+    exact knapsack needs it.  The lower bound is f_t times its value at
+    1 Hz, up to rounding, which a 1e-12 widening covers.
+    """
+    theta_bw, k, beta = row[:3]
+    k4, c1 = 0.4 * k, 0.5 * beta + 2.0
+
+    def threshold(q):
+        v = q / theta_bw
+        v24 = v ** 2.4
+        return (1.0 + c1 * v * v) / (k4 * beta * v24), v24
+
+    def cost(f, v0):  # g with the root fixed at v0
+        return _lane_chain(row, t_d, f, n_h, consts, lambda *_: v0,
+                           np.sqrt)[1]
+
+    zero, v24_lo = threshold(shape.q_min)
+    one, v24_hi = threshold(shape.q_max)
+    widen = (1.0 + 1e-6) / (1.0 - 1e-6)
+    # v24_hi < v24_lo, so these bound all four factors
+    low = np.minimum(np.minimum(k4, beta), v24_hi)
+    high = np.maximum(np.maximum(k4, beta), v24_lo)
+    settled = (low >= 1e-100) & (high <= 1e100)
+    lo = np.where(settled, np.searchsorted(f_t, zero / widen), 0)
+    hi = np.where(settled, np.searchsorted(f_t, one * widen, side="right"),
+                  f_t.size)  # the first settled u = 1 column
+    g_hi = cost(f_t[np.minimum(hi, f_t.size - 1)], shape.q_max / theta_bw)
+    end = np.searchsorted(f_t, g_hi.min(initial=np.inf, where=hi < f_t.size)
+                          / cost(1.0, 0.0) * (1.0 + 1e-12), side="right")
+    return lo, np.maximum(lo, end)
+
+
+def evaluate_candidates(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
+                        env: Environment, consts: RadarConstants,
+                        shape: UtilityShape):
+    """evaluate_grid's values at only the feasible grid points that can
+    be vertices of the (g, u) hull.
+
+    Two rules drop a feasible point before its root is solved, and
+    neither changes the hull:
+    - The SNR cap.  A point is dropped when a smaller t_d with the same
+      n_h already reaches the cap.  The raw SNR grows with t_d and does
+      not depend on f_t, and every capped t_d of one (f_t, n_h) buys
+      bit-identical utility, only at a higher cost than the first one.
+    - Closed-form bounds (_columns_to_solve).  A point whose utility is
+      surely 0 is dropped, and so is any point surely dearer than a kept
+      u = 1 point, since it buys at most the same utility.
+    The kept points go through one batched formula chain.  A root
+    depends only on its own point, so their values equal evaluate_grid's
+    bit for bit.
+
+    Args:
+        t_d, f_t, n_h, env, consts, shape: as for evaluate_grid().
+
+    Returns:
+        (flat_index, q, g, u): the kept points' positions in the
+        flattened (t_d, f_t, n_h) grid, ascending, and their values.
+    """
+    t_d, f_t, n_h = (np.asarray(x, dtype=np.float64).reshape(-1)
+                     for x in (t_d, f_t, n_h))
+    raw = _raw_snr_table(t_d, n_h, env, consts)          # (nt, nn)
+    capped = raw >= consts.snr_cap
+    capped_before = np.cumsum(capped, axis=0) - capped > 0
+    it, kn = np.nonzero((raw >= consts.snr_floor) & ~capped_before)
+    n_rows = n_h[kn]
+    row = _row_terms(np.minimum(raw[it, kn], consts.snr_cap), n_rows, env,
+                     consts, np.sqrt)
+    lo, end = _columns_to_solve(row, t_d[it], f_t, n_rows, consts, shape)
+    count = end - lo
+    r = np.repeat(np.arange(it.size), count)  # f_t[lo:end] of each row
+    jf = np.arange(r.size) - np.repeat(np.cumsum(count) - count - lo, count)
+    flat = (it[r] * f_t.size + jf) * n_h.size + kn[r]
+    order = np.argsort(flat, kind="stable")  # each row is a sorted run
+    r, jf = r[order], jf[order]
+    q, g, u = _evaluate_lanes(tuple(x[r] for x in row), t_d[it[r]],
+                              f_t[jf], n_rows[r], consts, shape)
+    return flat[order], q, g, u

@@ -68,6 +68,17 @@ class SceneConfig:
         if not (-90.0 < self.bearing_interval[0]
                 and self.bearing_interval[1] < 90.0):
             raise ValueError("bearing_interval must lie inside (-90, 90) deg")
+        for name, to_si, unit in (
+                ("range_interval", lambda r: r**4, "m^4"),
+                ("rcs_interval_dbsm", lambda db: 10.0 ** (db / 10.0), "m^2")):
+            for x in getattr(self, name):
+                try:  # as _raw_snr and generate_scene compute them
+                    si = to_si(float(x))
+                except OverflowError:
+                    si = math.inf
+                if not 0.0 < si < math.inf:
+                    raise ValueError(f"{name} bound {x:g} gives no finite "
+                                     f"positive float in {unit}")
         if not self.weight_interval[0] > 0.0:
             raise ValueError("weights must be positive")
         p = self.type_probabilities

@@ -301,6 +301,26 @@ def test_huge_integers_in_a_config_exit_2_naming_the_key(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scene", [
+    {"range_km": [10.0, 1e100]},
+    {"range_km": [10.0, 1e306]},
+    {"rcs_dbsm": [-10.0, 1e306]},
+    {"rcs_dbsm": [-4000.0, 10.0]},
+])
+def test_scene_bounds_the_model_cannot_take_exit_2(tmp_path, capsys, scene):
+    # range^4 or the rcs in m^2 would overflow or underflow
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CONFIG_DOC, "scene": scene}),
+                    encoding="utf-8")
+    for argv in (["allocate", "--budget", "0.5"], ["sweep"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(path),
+                             "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "scene: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_update_rate_newton_cannot_start_from_exits_cleanly(tmp_path,
                                                            capsys):
     # at 1e-300 Hz the sharpness balance overflows float64, which the
@@ -454,6 +474,22 @@ def test_sweep_without_histogram_grid_exits_2(tmp_path, capsys):
                   "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert "sweep.grids" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_budgets_finer_than_the_csvs_exit_2(tmp_path, capsys):
+    # 0.12341 and 0.12342 would both be written as 0.1234, and the CSVs
+    # would no longer read back into the sweep's aggregate
+    doc = dict(CONFIG_DOC, sweep=dict(CONFIG_DOC["sweep"],
+                                      budgets=[0.12341, 0.12342, 0.5]))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", str(path),
+                  "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "sweep: budgets must have at most 4 decimals" in \
+        capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

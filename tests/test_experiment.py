@@ -79,6 +79,8 @@ def test_rounding_matches_csv_precision():
     dict(budgets=(0.5, 1.2)),
     dict(budgets=(0.5, 0.5)),
     dict(budgets=(0.8, 0.5)),
+    dict(budgets=(0.12341, 0.12342, 0.5)),  # both write as 0.1234
+    dict(budgets=(0.12345,)),
     dict(n_mc=0),
     dict(grids=()),
     dict(grids=(("", SPLIT),)),

@@ -385,6 +385,18 @@ def test_batch_roots_depend_only_on_their_own_lane(pairs, data):
         assert grid.tobytes() == roots.tobytes()
 
 
+def test_one_lane_gives_the_same_root_as_0d_input_and_in_a_batch():
+    # numpy's scalar ** calls libm pow, whose c2**(-1/6) here differs by
+    # one ulp from the array power loop, and so did the root
+    alpha, beta = 120.80620928155726, 1.7582924019621293
+    root = track_sharpness_batch(np.array([alpha]), np.array([beta]))[0]
+    assert track_sharpness_batch(alpha, beta) == root
+    assert track_sharpness_batch(np.float64(alpha), np.float64(beta)) == root
+    pair = track_sharpness_batch(np.array([alpha, 1.0]),
+                                 np.array([beta, 100.0]))
+    assert pair[0] == root
+
+
 def batch_coupled_roots(alpha, beta):
     """Oracle: the former solve, which stepped every lane until the whole
     batch met the stop test."""

@@ -98,6 +98,11 @@ def test_type_probabilities_are_honored():
     dict(type_probabilities=(math.nan, 0.5)),
     dict(type_probabilities=(0.5, math.nan)),
     dict(seed=-1),
+    # range^4 or the rcs in m^2 overflows or underflows
+    dict(range_interval=(10e3, 1e103)),
+    dict(range_interval=(1e-87, 10e3)),
+    dict(rcs_interval_dbsm=(-10.0, 1e306)),
+    dict(rcs_interval_dbsm=(-4000.0, 10.0)),
 ])
 def test_invalid_scene_configs_raise(kwargs):
     with pytest.raises(ValueError):
