@@ -152,8 +152,6 @@ def cmd_eval(parser: argparse.ArgumentParser,
         parser.error(f"--nh must lie in [1, {consts.n_h_total}]")
     if args.range is not None and args.range <= 0:
         parser.error("--range must be positive")
-    if args.range is None and args.range_sweep is None:
-        parser.error("one of --range or --range-sweep is required")
 
     cp = ControlPoint(t_d=args.td * 1e-3, f_t=args.ft, n_h=args.nh)
 
@@ -276,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser(
         "eval", help="evaluate one task at explicit control settings")
     p_eval.add_argument("--config", help="configuration file (JSON)")
-    p_eval.add_argument("--range", type=_range_km,
-                        help="target range [km]")
-    p_eval.add_argument("--range-sweep", metavar="START:STOP:COUNT",
+    ranges = p_eval.add_mutually_exclusive_group(required=True)
+    ranges.add_argument("--range", type=_range_km, help="target range [km]")
+    ranges.add_argument("--range-sweep", metavar="START:STOP:COUNT",
                         type=_range_sweep,
                         help="evaluate over evenly spaced ranges [km], "
                              "one JSON object per line")

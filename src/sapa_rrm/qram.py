@@ -2,17 +2,17 @@
 
 The solver follows the classic Q-RAM recipe: enumerate the feasible
 (resource, weighted utility) set-points of every task, less those that
-radar_model.evaluate_candidates shows cannot be hull vertices, compress
-each task to its concave majorant, then walk all hull segments in order
-of decreasing marginal utility until the radar time budget runs out.  A
-brute-force multiple-choice-knapsack oracle is included for validating
-the greedy result on small instances.
+radar_model.evaluate_candidates, called per row-capped chunk of tasks, shows
+cannot be hull vertices, compress each task to its concave majorant, then
+walk all hull segments in order of decreasing marginal utility until the
+radar time budget runs out.  A brute-force multiple-choice-knapsack oracle
+is included for validating the greedy result on small instances.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +25,8 @@ from .radar_model import (
     evaluate_candidates,
     evaluate_grid,  # noqa: F401  still looked up as qram.evaluate_grid
 )
+
+MAX_CHUNK_ROWS = 8_000  # (t_d, n_h) rows per evaluate_candidates call
 
 
 def _strictly_increasing(values: Sequence[float]) -> bool:
@@ -113,25 +115,29 @@ class TaskSetPoints:
 def enumerate_setpoints(env: Environment, weight: float, grid: ControlGrid,
                         consts: RadarConstants,
                         shape: UtilityShape) -> TaskSetPoints:
-    """Evaluate one task over a control grid, keeping the points that can
-    be hull vertices: those radar_model.evaluate_candidates keeps.
+    """enumerate_setpoints_many() of one task."""
+    return next(enumerate_setpoints_many([(env, weight)], grid, consts, shape))
 
-    Args:
-        env: target environment.
-        weight: task weight applied to the utility, positive and finite.
-        grid: discrete control space.
-        consts, shape: model parameters.
 
-    Returns:
-        The kept candidates in t_d-major order; empty when the target
-        is undetectable at every grid point.
-    """
-    if not 0.0 < weight < math.inf:
+def enumerate_setpoints_many(tasks: Sequence[tuple[Environment, float]],
+                             grid: ControlGrid, consts: RadarConstants,
+                             shape: UtilityShape) -> Iterator[TaskSetPoints]:
+    """Yield, in task order, each (env, weight) task's grid points that
+    can be hull vertices (evaluate_candidates), t_d-major; weights must be
+    positive and finite.  Consecutive tasks share calls of at most
+    MAX_CHUNK_ROWS (t_d, n_h) rows, or a task whose grid has more goes
+    alone: that bounds memory and changes no bit."""
+    if not all(0.0 < w < math.inf for _, w in tasks):
         raise ValueError("weight must be positive and finite")
-    flat, q, g, u = evaluate_candidates(grid.t_d_values, grid.f_t_values,
-                                        grid.n_h_values, env, consts, shape)
-    return TaskSetPoints(grid=grid, flat_index=flat, resource=g,
-                         weighted_utility=weight * u, quality=q, utility=u)
+    step = max(1, MAX_CHUNK_ROWS // (len(grid.t_d_values)
+                                     * len(grid.n_h_values)))
+    for i in range(0, len(tasks), step):
+        chunk = tasks[i:i + step]
+        for (_, w), (flat, q, g, u) in zip(chunk, evaluate_candidates(
+                grid.t_d_values, grid.f_t_values, grid.n_h_values,
+                [env for env, _ in chunk], consts, shape)):
+            yield TaskSetPoints(grid=grid, flat_index=flat, resource=g,
+                                weighted_utility=w * u, quality=q, utility=u)
 
 
 @dataclass(frozen=True)

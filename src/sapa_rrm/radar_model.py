@@ -7,8 +7,8 @@ detection, the expected number of looks per update, and a linear
 utility on the achieved angular accuracy.
 
 The chain runs on one control point (evaluate), on a whole grid
-(evaluate_grid, the unpruned oracle) and on the grid points that can be
-vertices of a task's (g, u) hull (evaluate_candidates).
+(evaluate_grid, the unpruned oracle) and on the grid points of many
+tasks that can be vertices of their (g, u) hulls (evaluate_candidates).
 
 All operations are pure functions; angles are radians, times seconds,
 ranges meters, cross sections square meters.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,27 +145,32 @@ class TaskEvaluation:
     n_looks: float | None = None          # expected looks per update
 
 
-def _raw_snr(t_d, n_h, env: Environment, consts: RadarConstants):
+def _env_terms(env: Environment) -> tuple:
+    """The chain's per-task scalars, computed once with math."""
+    return (math.cos(env.bearing), env.rcs, env.range**4, env.range,
+            math.sqrt(env.corr_time), env.maneuver_std)
+
+
+def _raw_snr(t_d, n_h, terms: tuple, consts: RadarConstants):
     """Single-look SN0 (linear) before the floor and the cap."""
-    cos_b = math.cos(env.bearing)
-    return (consts.k_rad * n_h**3 * t_d * cos_b * cos_b * env.rcs
-            / env.range**4)
+    cos_b, rcs, range4 = terms[:3]
+    return consts.k_rad * n_h**3 * t_d * cos_b * cos_b * rcs / range4
 
 
-def _row_terms(snr, n_h, env: Environment, consts: RadarConstants, sqrt):
+def _row_terms(snr, n_h, terms: tuple, consts: RadarConstants, sqrt):
     """The chain's factors that depend on the clamped SNR and n_h only.
 
     Cross-talk loss, scan-broadened beamwidth theta_bw, the sharpness
     balance's alpha = 0.4 * f_t * k and beta, Swerling I detection p_d,
     and the look-count factor gamma; returned as that tuple
-    (theta_bw, k, beta, p_d, gamma).  Operators only, so ``snr`` and
-    ``n_h`` may be Python floats or broadcastable arrays; ``sqrt`` must
-    match that choice.
+    (theta_bw, k, beta, p_d, gamma).  Operators only, so ``snr``, ``n_h``
+    and the _env_terms ``terms`` may be Python floats or broadcastable
+    arrays; ``sqrt`` must match that choice.
     """
+    cos_b, _, _, range_m, sqrt_tc, maneuver_std = terms
     xisnr = (0.8 + 0.2 * n_h / consts.n_h_total) * snr
-    theta_bw = consts.alpha_bw / n_h / math.cos(env.bearing)
-    k = (env.range * theta_bw * math.sqrt(env.corr_time)
-         / env.maneuver_std) ** 0.4
+    theta_bw = consts.alpha_bw / n_h / cos_b
+    k = (range_m * theta_bw * sqrt_tc / maneuver_std) ** 0.4
     p_d = consts.p_fa ** (1.0 / (1.0 + xisnr))
     gamma = 1.0 + 14.0 * sqrt(-math.log(consts.p_fa) / xisnr)
     return theta_bw, k, xisnr - math.log(consts.p_fa), p_d, gamma
@@ -301,11 +307,12 @@ def evaluate(cp: ControlPoint, env: Environment, consts: RadarConstants,
     """
     if not 1 <= cp.n_h <= consts.n_h_total:
         raise ValueError("n_h must lie in [1, n_h_total]")
-    raw = _raw_snr(cp.t_d, cp.n_h, env, consts)
+    terms = _env_terms(env)
+    raw = _raw_snr(cp.t_d, cp.n_h, terms, consts)
     if raw < consts.snr_floor:
         return TaskEvaluation(feasible=False)
     snr = min(raw, consts.snr_cap)
-    row = _row_terms(snr, cp.n_h, env, consts, math.sqrt)
+    row = _row_terms(snr, cp.n_h, terms, consts, math.sqrt)
     q, g, v0, p_d, n_l = _lane_chain(row, cp.t_d, cp.f_t, cp.n_h, consts,
                                      track_sharpness, math.sqrt)
     return TaskEvaluation(
@@ -320,12 +327,12 @@ def evaluate(cp: ControlPoint, env: Environment, consts: RadarConstants,
     )
 
 
-def _raw_snr_table(t_d: np.ndarray, n_h: np.ndarray, env: Environment,
+def _raw_snr_table(t_d: np.ndarray, n_h: np.ndarray, terms: tuple,
                    consts: RadarConstants) -> np.ndarray:
-    """_raw_snr of every (t_d, n_h) pair, shaped (len(t_d), len(n_h))."""
+    """_raw_snr of every (t_d, n_h) pair, on the last two axes."""
     if np.any(n_h < 1) or np.any(n_h > consts.n_h_total):
         raise ValueError("n_h values must lie in [1, n_h_total]")
-    return _raw_snr(t_d[:, None], n_h[None, :], env, consts)
+    return _raw_snr(t_d[:, None], n_h[None, :], terms, consts)
 
 
 def _evaluate_lanes(row: tuple, t_d: np.ndarray, f_t: np.ndarray,
@@ -375,12 +382,13 @@ def evaluate_grid(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
     """
     t_d, f_t, n_h = (np.asarray(x, dtype=np.float64).reshape(-1)
                      for x in (t_d, f_t, n_h))
-    raw = _raw_snr_table(t_d, n_h, env, consts)        # (nt, nn)
+    terms = _env_terms(env)
+    raw = _raw_snr_table(t_d, n_h, terms, consts)      # (nt, nn)
     feasible = raw >= consts.snr_floor
     snr = np.minimum(raw, consts.snr_cap)
     nt, nn = raw.shape
     t_rows, n_rows = np.repeat(t_d, nn)[:, None], np.tile(n_h, nt)[:, None]
-    row = _row_terms(snr.reshape(-1, 1), n_rows, env, consts, np.sqrt)
+    row = _row_terms(snr.reshape(-1, 1), n_rows, terms, consts, np.sqrt)
     values = _evaluate_lanes(row, t_rows, f_t, n_rows, consts, shape)
     for fresh in values:
         np.copyto(fresh, np.nan, where=~feasible.reshape(-1, 1))
@@ -393,8 +401,8 @@ def evaluate_grid(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
 
 
 def _columns_to_solve(row: tuple, t_d: np.ndarray, f_t: np.ndarray,
-                      n_h: np.ndarray, consts: RadarConstants,
-                      shape: UtilityShape):
+                      n_h: np.ndarray, task: np.ndarray,
+                      consts: RadarConstants, shape: UtilityShape):
     """Per (t_d, n_h) row, the f_t columns whose point can be a hull
     vertex, so that its root must be solved: f_t[lo:end].
 
@@ -413,12 +421,12 @@ def _columns_to_solve(row: tuple, t_d: np.ndarray, f_t: np.ndarray,
 
     A settled u = 0 point, f_t[:lo], adds no utility, so it is never a
     vertex.  The cost rises with v0 >= 0 and with f_t, and u = 1 means
-    v0 <= q_max/theta, so G, the least such upper bound over each row's
-    first settled u = 1 column, is at or above a real u = 1 point's
-    cost.  A point whose v0 = 0 lower bound exceeds G is dearer than
-    that point and buys at most its utility: neither the hull nor an
-    exact knapsack needs it.  The lower bound is f_t times its value at
-    1 Hz, up to rounding, which a 1e-12 widening covers.
+    v0 <= q_max/theta, so G, the least such upper bound over the first
+    settled u = 1 column of each row of one ``task``, is at or above a
+    real u = 1 point's cost.  A point of that task whose v0 = 0 lower
+    bound exceeds G is dearer and buys at most the same utility: neither
+    the hull nor an exact knapsack needs it.  That lower bound is f_t
+    times its value at 1 Hz, up to rounding; a 1e-12 widening covers it.
     """
     theta_bw, k, beta = row[:3]
     k4, c1 = 0.4 * k, 0.5 * beta + 2.0
@@ -443,16 +451,18 @@ def _columns_to_solve(row: tuple, t_d: np.ndarray, f_t: np.ndarray,
     hi = np.where(settled, np.searchsorted(f_t, one * widen, side="right"),
                   f_t.size)  # the first settled u = 1 column
     g_hi = cost(f_t[np.minimum(hi, f_t.size - 1)], shape.q_max / theta_bw)
-    end = np.searchsorted(f_t, g_hi.min(initial=np.inf, where=hi < f_t.size)
-                          / cost(1.0, 0.0) * (1.0 + 1e-12), side="right")
+    bound = np.full(task.max(initial=-1) + 1, np.inf)
+    np.minimum.at(bound, task, np.where(hi < f_t.size, g_hi, np.inf))
+    end = np.searchsorted(f_t, bound[task] / cost(1.0, 0.0) * (1.0 + 1e-12),
+                          side="right")
     return lo, np.maximum(lo, end)
 
 
 def evaluate_candidates(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
-                        env: Environment, consts: RadarConstants,
-                        shape: UtilityShape):
-    """evaluate_grid's values at only the feasible grid points that can
-    be vertices of the (g, u) hull.
+                        envs: Sequence[Environment], consts: RadarConstants,
+                        shape: UtilityShape) -> list[tuple]:
+    """evaluate_grid's values, per task in ``envs``, at only the feasible
+    grid points that can be vertices of the task's (g, u) hull.
 
     Two rules drop a feasible point before its root is solved, and
     neither changes the hull:
@@ -462,34 +472,33 @@ def evaluate_candidates(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
       bit-identical utility, only at a higher cost than the first one.
     - Closed-form bounds (_columns_to_solve).  A point whose utility is
       surely 0 is dropped, and so is any point surely dearer than a kept
-      u = 1 point, since it buys at most the same utility.
-    The kept points go through one batched formula chain.  A root
-    depends only on its own point, so their values equal evaluate_grid's
-    bit for bit.
-
-    Args:
-        t_d, f_t, n_h, env, consts, shape: as for evaluate_grid().
-
-    Returns:
-        (flat_index, q, g, u): the kept points' positions in the
-        flattened (t_d, f_t, n_h) grid, ascending, and their values.
+      u = 1 point of its task, since it buys at most the same utility.
+    The kept (t_d, n_h) rows of all tasks go through one batched formula
+    chain, whose memory grows with their count.  A root depends only on
+    its own point, so the values equal evaluate_grid's bit for bit,
+    whichever tasks share the call.  Returns, per task, the kept points'
+    ascending flat indices into the (t_d, f_t, n_h) grid and q, g, u.
     """
     t_d, f_t, n_h = (np.asarray(x, dtype=np.float64).reshape(-1)
                      for x in (t_d, f_t, n_h))
-    raw = _raw_snr_table(t_d, n_h, env, consts)          # (nt, nn)
-    capped = raw >= consts.snr_cap
-    capped_before = np.cumsum(capped, axis=0) - capped > 0
-    it, kn = np.nonzero((raw >= consts.snr_floor) & ~capped_before)
+    terms = np.array([_env_terms(env) for env in envs]).reshape(-1, 6).T
+    raw = _raw_snr_table(t_d, n_h, tuple(terms[:, :, None, None]), consts)
+    capped = raw >= consts.snr_cap                       # (task, nt, nn)
+    none_before = np.cumsum(capped, axis=1) <= capped    # no earlier t_d
+    ti, it, kn = np.nonzero((raw >= consts.snr_floor) & none_before)
     n_rows = n_h[kn]
-    row = _row_terms(np.minimum(raw[it, kn], consts.snr_cap), n_rows, env,
-                     consts, np.sqrt)
-    lo, end = _columns_to_solve(row, t_d[it], f_t, n_rows, consts, shape)
+    row = _row_terms(np.minimum(raw[ti, it, kn], consts.snr_cap), n_rows,
+                     tuple(terms[:, ti]), consts, np.sqrt)
+    lo, end = _columns_to_solve(row, t_d[it], f_t, n_rows, ti, consts, shape)
     count = end - lo
     r = np.repeat(np.arange(it.size), count)  # f_t[lo:end] of each row
     jf = np.arange(r.size) - np.repeat(np.cumsum(count) - count - lo, count)
     flat = (it[r] * f_t.size + jf) * n_h.size + kn[r]
-    order = np.argsort(flat, kind="stable")  # each row is a sorted run
-    r, jf = r[order], jf[order]
+    order = np.argsort(ti[r] * (t_d.size * f_t.size * n_h.size) + flat,
+                       kind="stable")  # by task, then flat index
+    r, jf, flat = r[order], jf[order], flat[order]
     q, g, u = _evaluate_lanes(tuple(x[r] for x in row), t_d[it[r]],
                               f_t[jf], n_rows[r], consts, shape)
-    return flat[order], q, g, u
+    bounds = np.searchsorted(ti[r], np.arange(len(envs) + 1)).tolist()
+    return [tuple(x[a:b] for x in (flat, q, g, u))
+            for a, b in zip(bounds, bounds[1:])]

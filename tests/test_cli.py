@@ -132,6 +132,21 @@ def test_eval_usage_errors_exit_2(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("first, second", [
+    (["--range", "50"], ["--range-sweep", "10:20:2"]),
+    (["--range-sweep", "10:20:2"], ["--range", "50"]),
+])
+def test_eval_range_and_range_sweep_exclude_each_other(first, second,
+                                                       capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(EVAL_BASE + first + second)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {second[0]}: not allowed with argument {first[0]}" \
+        in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, flag", [
     (EVAL_BASE + ["--range", "nan"], "--range"),
     (EVAL_BASE + ["--range", "inf"], "--range"),
@@ -398,6 +413,39 @@ def test_allocate_usage_errors_exit_2(config_path, tmp_path, extra,
         cli.main(argv + extra)
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# Recorded with numpy 2.4.6 while each task was still enumerated in its
+# own call; the values come from numpy's pow and sqrt, as for
+# SHIPPED_SWEEP_DIGESTS below.
+SHIPPED_ALLOCATE_DIGESTS = {
+    ("campaign_70km", "split"):
+        "0107ed68aa30b4f4601e6759b4aca663bfb11e6a1f532e3164afeb5ad60be404",
+    ("campaign_70km", "full"):
+        "fb9eaaa67ed6ce3f5e9b74a7964b6919bd4917d859fc44abdddeffadb8eea609",
+    ("campaign_250km", "split"):
+        "5a978f46d9e2d8591394b6210f7a08688c494fc1868ede1697d24159fea3e2d3",
+    ("campaign_250km", "full"):
+        "e2138054d1122431b83f454b60e43ccf61e3274096070e61b093ace7556f96fb",
+}
+
+
+@pytest.mark.parametrize("name, grid", sorted(SHIPPED_ALLOCATE_DIGESTS))
+def test_shipped_allocate_outputs_match_recorded_digest(name, grid,
+                                                        tmp_path, capsys):
+    """Byte-identical allocate outputs for a shipped config's scene at
+    budget 0.3: one SHA-256 over each file's name and bytes."""
+    out = tmp_path / "out"
+    assert cli.main(["allocate", "--config",
+                     str(ROOT / "configs" / f"{name}.json"), "--budget",
+                     "0.3", "--grid", grid, "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for written in ("allocation.csv", "summary.json"):
+        digest.update(written.encode() + b"\0")
+        digest.update((out / written).read_bytes())
+    assert digest.hexdigest() == SHIPPED_ALLOCATE_DIGESTS[(name, grid)], \
+        f"recorded with numpy 2.4.6, running numpy {np.__version__}"
 
 
 def test_allocate_out_path_collision_exits_1(config_path, tmp_path,

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from sapa_rrm import experiment
+from sapa_rrm import experiment, qram
 from sapa_rrm.experiment import (
     RunMetrics,
     SweepConfig,
@@ -203,22 +203,51 @@ def test_sweep_structure(small_result):
 
 def test_sweep_enumerates_each_task_once_per_grid_in_task_order(
         monkeypatch):
-    calls = []
-    enumerate_setpoints = experiment.enumerate_setpoints
+    # each (scene, grid) is one enumerate_setpoints_many call, which hands
+    # consecutive tasks to evaluate_candidates in chunks of at most
+    # MAX_CHUNK_ROWS (t_d, n_h) rows; only a lone task may exceed that
+    scene_calls, chunks = [], []
+    enumerate_setpoints_many = experiment.enumerate_setpoints_many
+    evaluate_candidates = qram.evaluate_candidates
 
-    def recording(env, weight, grid, consts, shape):
-        calls.append((env, grid))
-        return enumerate_setpoints(env, weight, grid, consts, shape)
+    def recording_scene(tasks, grid, consts, shape):
+        scene_calls.append(([env for env, _ in tasks], grid))
+        return enumerate_setpoints_many(tasks, grid, consts, shape)
 
-    monkeypatch.setattr(experiment, "enumerate_setpoints", recording)
+    def recording_chunk(t_d, f_t, n_h, envs, consts, shape):
+        chunks.append((list(envs), len(t_d) * len(n_h)))
+        return evaluate_candidates(t_d, f_t, n_h, envs, consts, shape)
+
+    monkeypatch.setattr(experiment, "enumerate_setpoints_many",
+                        recording_scene)
+    monkeypatch.setattr(qram, "evaluate_candidates", recording_chunk)
     cfg = SweepConfig(budgets=(0.5,), grids=(("split", SPLIT),
                                              ("full", FULL)),
-                      n_mc=2, scene=SceneConfig(n_targets=4, seed=2))
-    result = sweep(cfg, CONSTS, SHAPE)
-    scenes = [generate_scene(replace(cfg.scene, seed=s))
-              for s in result.run_seeds]
-    assert calls == [(task.environment, grid) for scene in scenes
-                     for _, grid in cfg.grids for task in scene.tasks]
+                      n_mc=2, scene=SceneConfig(n_targets=5, seed=2))
+    runs = None
+    # 88 split and 11 full rows per task: one chunk per (scene, grid),
+    # chunks of two split tasks, and split tasks that go alone
+    for cap in (qram.MAX_CHUNK_ROWS, 200, 50):
+        monkeypatch.setattr(qram, "MAX_CHUNK_ROWS", cap)
+        scene_calls.clear()
+        chunks.clear()
+        result = sweep(cfg, CONSTS, SHAPE)
+        scenes = [generate_scene(replace(cfg.scene, seed=s))
+                  for s in result.run_seeds]
+        expected = [([task.environment for task in scene.tasks], grid)
+                    for scene in scenes for _, grid in cfg.grids]
+        assert scene_calls == expected
+        assert [env for envs, _ in chunks for env in envs] == \
+            [env for envs, _ in expected for env in envs]
+        assert all(len(envs) * rows <= cap or len(envs) == 1
+                   for envs, rows in chunks)
+        per_chunk = [max(1, cap // (len(grid.t_d_values)
+                                    * len(grid.n_h_values)))
+                     for _, grid in expected]
+        assert len(chunks) == sum(-(-len(envs) // n) for (envs, _), n
+                                  in zip(expected, per_chunk))
+        assert runs is None or result.runs == runs
+        runs = result.runs
 
 
 def test_sweep_generates_each_run_scene_once(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sapa_rrm import radar_model
+from sapa_rrm import qram, radar_model
 from sapa_rrm.config import load_config
 from sapa_rrm.qram import (
     AllocationResult,
@@ -27,6 +27,7 @@ from sapa_rrm.qram import (
     brute_force_allocate,
     build_majorant,
     enumerate_setpoints,
+    enumerate_setpoints_many,
     _hull_indices,
     _sorted_segments,
 )
@@ -35,6 +36,7 @@ from sapa_rrm.radar_model import (
     Environment,
     RadarConstants,
     UtilityShape,
+    _env_terms,
     _raw_snr_table,
     evaluate,
     evaluate_grid,
@@ -322,10 +324,11 @@ SPLIT_GRID = load_config(ROOT / "configs" / "defaults.json").grid("split")
 GRIDS = {"small": SMALL_GRID, "split": SPLIT_GRID}
 
 
-def assert_pruned_matches_oracle(env, weight, grid):
-    """Check enumerate_setpoints against every feasible point of
-    evaluate_grid; return the oracle's feasible and capped masks and the
-    utilities of the other dropped points.
+def assert_pruned_matches_oracle(env, weight, grid, pts=None):
+    """Check enumerate_setpoints, or the task's given set-points ``pts``,
+    against every feasible point of evaluate_grid; return the oracle's
+    feasible and capped masks and the utilities of the other dropped
+    points.
 
     The kept points are feasible and not cap-dominated, their values are
     evaluate_grid's bit for bit, and their hull is the unpruned one.  Each
@@ -343,7 +346,8 @@ def assert_pruned_matches_oracle(env, weight, grid):
     dominated = capped & (t_index > first)
     candidates = (feasible & ~dominated).ravel()
 
-    pts = enumerate_setpoints(env, weight, grid, CONSTS, SHAPE)
+    if pts is None:
+        pts = enumerate_setpoints(env, weight, grid, CONSTS, SHAPE)
     kept = pts.flat_index
     assert np.all(np.diff(kept) > 0)  # t_d-major order, each point once
     assert candidates[kept].all()
@@ -399,10 +403,10 @@ def env_on_cap(grid, t_index, n_h):
         fields = dict(range=range_m, bearing=0.3, maneuver_std=10.0,
                       corr_time=4.0)
         rcs = CONSTS.snr_cap / _raw_snr_table(
-            t_d, nh, Environment(rcs=1.0, **fields), CONSTS)[0, 0]
+            t_d, nh, _env_terms(Environment(rcs=1.0, **fields)), CONSTS)[0, 0]
         for _ in range(16):
             env = Environment(rcs=float(rcs), **fields)
-            raw = _raw_snr_table(t_d, nh, env, CONSTS)[0, 0]
+            raw = _raw_snr_table(t_d, nh, _env_terms(env), CONSTS)[0, 0]
             if raw == CONSTS.snr_cap:
                 return env
             rcs = np.nextafter(rcs, math.inf if raw < CONSTS.snr_cap
@@ -419,7 +423,7 @@ def test_enumerate_keeps_a_t_d_whose_snr_lands_exactly_on_the_cap(
     k = grid.n_h_values.index(24)
     raw = _raw_snr_table(np.asarray(grid.t_d_values),
                          np.asarray(grid.n_h_values, dtype=float),
-                         env, CONSTS)
+                         _env_terms(env), CONSTS)
     assert raw[t_index, k] == CONSTS.snr_cap
     feasible, capped, _ = assert_pruned_matches_oracle(env, 0.6, grid)
     assert capped[t_index, :, k].all()
@@ -526,6 +530,85 @@ NEVER_CAPPED_ENV = Environment(range=250e3, bearing=0.0, rcs=1.0,
 def test_enumerate_pruning_edge_cases(env, claim, grid_name):
     assert claim(*assert_pruned_matches_oracle(env, 0.4,
                                                GRIDS[grid_name])[:2])
+
+
+# ---------------------------------------------------------------------------
+# many tasks per evaluate_candidates call
+
+REAL_TASKS = tuple(
+    (task.environment, task.weight) for name in ("campaign_70km",
+                                                 "campaign_250km")
+    for task in generate_scene(load_config(
+        ROOT / "configs" / f"{name}.json").scene).tasks[:10])
+
+
+def assert_same_bits(got, want):
+    assert got.grid == want.grid
+    for name in ("flat_index", "resource", "weighted_utility", "quality",
+                 "utility"):
+        assert getattr(got, name).tobytes() == \
+            getattr(want, name).tobytes(), name
+
+
+@given(st.lists(st.sampled_from(REAL_TASKS)
+                | st.tuples(task_envs, st.floats(min_value=0.01,
+                                                 max_value=1.0)),
+                min_size=1, max_size=8),
+       st.sampled_from(sorted(GRIDS)), st.integers(min_value=1,
+                                                   max_value=3000))
+@settings(deadline=None, max_examples=60)
+def test_chunked_enumeration_matches_one_task_calls(tasks, grid_name,
+                                                    max_rows):
+    # caps from below one split task's 808 rows up to whole lists of the
+    # 9-row small grid, so chunks hold one to all of the tasks
+    grid = GRIDS[grid_name]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qram, "MAX_CHUNK_ROWS", max_rows)
+        got = list(enumerate_setpoints_many(tasks, grid, CONSTS, SHAPE))
+    assert len(got) == len(tasks)
+    for (env, weight), pts in zip(tasks, got):
+        assert_same_bits(pts, enumerate_setpoints(env, weight, grid, CONSTS,
+                                                  SHAPE))
+
+
+@given(st.lists(task_envs, min_size=2, max_size=5),
+       st.floats(min_value=0.01, max_value=1.0),
+       st.sampled_from(sorted(GRIDS)))
+@settings(deadline=None, max_examples=30)
+def test_a_multi_task_chunk_drops_only_points_that_cannot_reach_the_hull(
+        envs, weight, grid_name):
+    grid = GRIDS[grid_name]  # 5 split tasks fit the default row cap
+    chunk = list(enumerate_setpoints_many([(env, weight) for env in envs],
+                                          grid, CONSTS, SHAPE))
+    for env, pts in zip(envs, chunk):
+        assert_pruned_matches_oracle(env, weight, grid, pts)
+
+
+# at these update rates the near task reaches u = 1 and the far one does
+# not, and the far one keeps points dearer than the near one's cheapest
+# u = 1 point: a cost bound G taken over both tasks would drop them
+LOW_RATE_GRID = ControlGrid(t_d_values=(4e-3, 20e-3, 64e-3),
+                            f_t_values=(0.1, 0.2, 0.3, 0.5),
+                            n_h_values=(6, 24, 48))
+NEAR_SLOW_ENV = Environment(range=10e3, bearing=0.2, rcs=1.0,
+                            maneuver_std=1.0, corr_time=10.0)
+FAR_AGILE_ENV = Environment(range=100e3, bearing=0.2, rcs=1.0,
+                            maneuver_std=35.0, corr_time=10.0)
+
+
+def test_a_chunk_takes_the_cost_bound_of_each_task_apart():
+    near, far = (enumerate_setpoints(env, 0.5, LOW_RATE_GRID, CONSTS, SHAPE)
+                 for env in (NEAR_SLOW_ENV, FAR_AGILE_ENV))
+    cheapest = near.resource.min(initial=math.inf, where=near.utility == 1.0)
+    assert far.utility.max() < 1.0 and far.resource.max() > cheapest
+    for envs in ((NEAR_SLOW_ENV, FAR_AGILE_ENV),
+                 (FAR_AGILE_ENV, NEAR_SLOW_ENV)):
+        chunk = list(enumerate_setpoints_many([(env, 0.5) for env in envs],
+                                              LOW_RATE_GRID, CONSTS, SHAPE))
+        alone = {NEAR_SLOW_ENV: near, FAR_AGILE_ENV: far}
+        for env, pts in zip(envs, chunk):
+            assert_same_bits(pts, alone[env])
+            assert_pruned_matches_oracle(env, 0.5, LOW_RATE_GRID, pts)
 
 
 # Recorded with numpy 2.4.6.  The values come from numpy's pow and sqrt,

@@ -22,6 +22,7 @@ from sapa_rrm.radar_model import (
     Environment,
     RadarConstants,
     UtilityShape,
+    _env_terms,
     _lane_chain,
     _row_terms,
     db_to_linear,
@@ -103,7 +104,7 @@ def chain(cp, env, snr, consts=CONSTS, solve=track_sharpness):
         calls.append((alpha, beta))
         return solve(alpha, beta)
 
-    row = _row_terms(snr, cp.n_h, env, consts, math.sqrt)
+    row = _row_terms(snr, cp.n_h, _env_terms(env), consts, math.sqrt)
     q, g, v0, p_d, n_l = _lane_chain(row, cp.t_d, cp.f_t, cp.n_h, consts,
                                      recording, math.sqrt)
     (alpha, beta), = calls
