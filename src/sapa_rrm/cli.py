@@ -46,8 +46,8 @@ from .config import (MAX_AXIS_VALUES, ConfigError, RunConfig, load_config,
                      parse_config)
 from .experiment import (
     HISTOGRAM_GRID,
-    SCHEMA_HEADER,
     _atomic_write,
+    _csv_frame,
     fmt_error_mrad,
     fmt_utility,
     solve_scene,
@@ -162,10 +162,14 @@ def cmd_eval(parser: argparse.ArgumentParser,
                           maneuver_std=args.maneuver_std,
                           corr_time=args.corr_time)
         try:
-            return evaluate(cp, env, consts, cfg.utility)
+            ev = evaluate(cp, env, consts, cfg.utility)
         except ValueError as exc:
             parser.error(f"at range {range_km:g} km the track-sharpness "
                          f"root is outside the solver's range ({exc})")
+        if ev.feasible and not math.isfinite(ev.resource):
+            parser.error("--td and --ft: the radar time they give "
+                         "overflows float64")
+        return ev
 
     if args.range_sweep is not None:
         for km in args.range_sweep:
@@ -201,10 +205,7 @@ def cmd_allocate(parser: argparse.ArgumentParser,
         parser.error(f"--config: the model cannot be solved on grid "
                      f"{grid_name!r}: {exc}")
 
-    lines = [SCHEMA_HEADER,
-             "task,weight,range_km,bearing_deg,rcs_dbsm,maneuver_std,"
-             "corr_time,target_type,t_d_ms,f_t_hz,n_h,q_mrad,g,"
-             "weighted_utility"]
+    rows = []
     for i, (task, asg) in enumerate(zip(scene.tasks, result.assignments)):
         env = task.environment
         row = [str(i), fmt_utility(task.weight),
@@ -224,11 +225,13 @@ def cmd_allocate(parser: argparse.ArgumentParser,
                     fmt_error_mrad(sp.quality * 1e3),
                     f"{sp.resource:.8f}",
                     fmt_utility(sp.weighted_utility)]
-        lines.append(",".join(row))
+        rows.append(",".join(row))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "allocation.csv", "\n".join(lines) + "\n")
+    _atomic_write(out / "allocation.csv", _csv_frame(
+        "task,weight,range_km,bearing_deg,rcs_dbsm,maneuver_std,corr_time,"
+        "target_type,t_d_ms,f_t_hz,n_h,q_mrad,g,weighted_utility", rows))
     summary = {
         "budget": args.budget,
         "grid": grid_name,

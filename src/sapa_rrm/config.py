@@ -6,8 +6,10 @@ Values in the file use bench units (ms, Hz, km, degrees, dBsm, mrad);
 conversion to SI happens at parse time.  Parsing fills in published
 defaults, so an empty document {} is a complete configuration.
 
-The parsed RunConfig keeps the normalized document alongside the built
-model objects; serializing and re-parsing it is the identity.
+The radar, utility and scene defaults are the model types' own defaults
+in bench units; configs/defaults.json writes all of them out.  The
+parsed RunConfig holds only the built model objects, so it is frozen,
+hashable and shares no state with the defaults.
 """
 
 from __future__ import annotations
@@ -32,31 +34,29 @@ class ConfigError(ValueError):
 RADAR_DEFAULTS: dict[str, Any] = asdict(RadarConstants())
 
 UTILITY_DEFAULTS: dict[str, Any] = {
-    "q_min_mrad": 3.0,
-    "q_max_mrad": 1.0,
+    f"{name}_mrad": value * 1e3
+    for name, value in asdict(UtilityShape()).items()}
+
+_SCENE = SceneConfig()
+SCENE_DEFAULTS: dict[str, Any] = {
+    "n_targets": _SCENE.n_targets,
+    "range_km": [r / 1e3 for r in _SCENE.range_interval],
+    "bearing_deg": list(_SCENE.bearing_interval),
+    "rcs_dbsm": list(_SCENE.rcs_interval_dbsm),
+    "weight": list(_SCENE.weight_interval),
+    "type_probabilities": list(_SCENE.type_probabilities),
+    "seed": _SCENE.seed,
+}
+
+_SPLIT_GRID: dict[str, Any] = {
+    "t_d_ms": {"start": 4.0, "step": 0.6, "stop": 64.0},
+    "f_t_hz": {"start": 0.1, "step": 0.1, "stop": 6.0},
+    "n_h": {"start": 6, "step": 6, "stop": 48},
 }
 
 GRID_DEFAULTS: dict[str, Any] = {
-    "split": {
-        "t_d_ms": {"start": 4.0, "step": 0.6, "stop": 64.0},
-        "f_t_hz": {"start": 0.1, "step": 0.1, "stop": 6.0},
-        "n_h": {"start": 6, "step": 6, "stop": 48},
-    },
-    "full": {
-        "t_d_ms": {"start": 4.0, "step": 0.6, "stop": 64.0},
-        "f_t_hz": {"start": 0.1, "step": 0.1, "stop": 6.0},
-        "n_h": [48],
-    },
-}
-
-SCENE_DEFAULTS: dict[str, Any] = {
-    "n_targets": 200,
-    "range_km": [10.0, 70.0],
-    "bearing_deg": [-60.0, 60.0],
-    "rcs_dbsm": [-10.0, 10.0],
-    "weight": [0.2, 0.8],
-    "type_probabilities": [0.5, 0.5],
-    "seed": 0,
+    "split": _SPLIT_GRID,
+    "full": {**_SPLIT_GRID, "n_h": [RADAR_DEFAULTS["n_h_total"]]},
 }
 
 SWEEP_DEFAULTS: dict[str, Any] = {
@@ -205,9 +205,8 @@ def _build_scene(section: dict[str, Any]) -> SceneConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration: normalized document plus built objects."""
+    """Parsed configuration: the built model objects."""
 
-    document: dict[str, Any]
     radar: RadarConstants
     utility: UtilityShape
     grids: tuple[tuple[str, ControlGrid], ...]
@@ -224,10 +223,6 @@ class RunConfig:
     @property
     def grid_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.grids)
-
-    def to_json(self) -> str:
-        # insertion order is kept so named grids keep their precedence
-        return json.dumps(self.document, indent=2) + "\n"
 
 
 def parse_config(document: Any) -> RunConfig:
@@ -281,17 +276,8 @@ def parse_config(document: Any) -> RunConfig:
     sweep = _build("sweep", SweepConfig, budgets=tuple(budgets),
                    grids=tuple((n, dict(grids)[n]) for n in sweep_grids),
                    n_mc=n_mc, scene=scene)
-
-    normalized = {
-        "radar": radar_doc,
-        "utility": utility_doc,
-        "grids": grids_doc,
-        "scene": scene_doc,
-        "sweep": sweep_doc,
-    }
-    return RunConfig(document=normalized, radar=radar, utility=utility,
-                     grids=grids, scene=scene, sweep=sweep,
-                     histogram_budgets=tuple(hist))
+    return RunConfig(radar=radar, utility=utility, grids=grids, scene=scene,
+                     sweep=sweep, histogram_budgets=tuple(hist))
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:

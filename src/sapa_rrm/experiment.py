@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -291,43 +291,47 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _csv_frame(header: str, rows: Iterable[str]) -> str:
+    """The schema line, the header, the rows and a final newline."""
+    return "\n".join([SCHEMA_HEADER, header, *rows]) + "\n"
+
+
 def _metric_csv(stats: Mapping[tuple[str, float], CellStats],
                 budgets: Sequence[float], grid_names: Sequence[str],
                 value_fmt) -> str:
-    lines = [SCHEMA_HEADER, "budget,grid,mean,std,lo2sigma,hi2sigma"]
+    rows = []
     for name in sorted(grid_names):
         for b in budgets:
             s = stats[(name, b)]
-            lines.append(",".join(
+            rows.append(",".join(
                 [fmt_budget(b), name] +
                 [value_fmt(v) for v in (s.mean, s.std,
                                         s.lo2sigma, s.hi2sigma)]))
-    return "\n".join(lines) + "\n"
+    return _csv_frame("budget,grid,mean,std,lo2sigma,hi2sigma", rows)
 
 
 def _histogram_csv(agg: AggregateMetrics, budgets: Sequence[float],
                    grid_name: str) -> str:
-    lines = [SCHEMA_HEADER, "budget,n_h,mean_count"]
+    rows = []
     for b in budgets:
         for n_h, count in agg.element_histogram[(grid_name, b)]:
-            lines.append(f"{fmt_budget(b)},{n_h},{fmt_utility(count)}")
-    return "\n".join(lines) + "\n"
+            rows.append(f"{fmt_budget(b)},{n_h},{fmt_utility(count)}")
+    return _csv_frame("budget,n_h,mean_count", rows)
 
 
 def _run_csv(cells: Mapping[tuple[str, float], RunMetrics],
              budgets: Sequence[float], grid_names: Sequence[str]) -> str:
-    lines = [SCHEMA_HEADER,
-             "budget,grid,active_tracks,total_utility,"
-             "mean_angular_error_mrad,histogram"]
+    rows = []
     for name in sorted(grid_names):
         for b in budgets:
             m = cells[(name, b)]
             hist = ";".join(f"{n}:{c}" for n, c in m.element_histogram)
-            lines.append(",".join([
+            rows.append(",".join([
                 fmt_budget(b), name, str(m.active_tracks),
                 fmt_utility(m.total_utility),
                 fmt_error_mrad(m.mean_angular_error * 1e3), hist]))
-    return "\n".join(lines) + "\n"
+    return _csv_frame("budget,grid,active_tracks,total_utility,"
+                      "mean_angular_error_mrad,histogram", rows)
 
 
 def write_sweep_outputs(

@@ -332,7 +332,9 @@ def _raw_snr_table(t_d: np.ndarray, n_h: np.ndarray, terms: tuple,
     """_raw_snr of every (t_d, n_h) pair, on the last two axes."""
     if np.any(n_h < 1) or np.any(n_h > consts.n_h_total):
         raise ValueError("n_h values must lie in [1, n_h_total]")
-    return _raw_snr(t_d[:, None], n_h[None, :], terms, consts)
+    # an SNR past float64 lies above the cap, as in evaluate(): no warning
+    with np.errstate(over="ignore"):
+        return _raw_snr(t_d[:, None], n_h[None, :], terms, consts)
 
 
 def _evaluate_lanes(row: tuple, t_d: np.ndarray, f_t: np.ndarray,

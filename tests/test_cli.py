@@ -124,6 +124,9 @@ def test_eval_range_sweep_emits_one_line_per_range(capsys):
     EVAL_BASE + ["--range", "1e-70"],
     ["eval", "--maneuver-std", "1e-300", "--corr-time", "4", "--td", "20",
      "--ft", "1", "--nh", "48", "--range", "50"],
+    # the radar time overflows float64
+    ["eval", "--maneuver-std", "10", "--corr-time", "4", "--td", "1e308",
+     "--ft", "1e10", "--nh", "48", "--range", "50"],
 ])
 def test_eval_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sapa_rrm.config import (
+    GRID_DEFAULTS,
+    RADAR_DEFAULTS,
+    SCENE_DEFAULTS,
+    SWEEP_DEFAULTS,
+    UTILITY_DEFAULTS,
     ConfigError,
     load_config,
     loads_config,
@@ -20,6 +25,8 @@ from sapa_rrm.radar_model import RadarConstants
 from sapa_rrm.scenario import SceneConfig, generate_scene
 
 ROOT = Path(__file__).resolve().parents[1]
+DEFAULTS_TEXT = (ROOT / "configs" / "defaults.json").read_text(
+    encoding="utf-8")
 
 
 def grid_doc(**overrides):
@@ -80,9 +87,23 @@ def test_default_sweep_plan():
 
 def test_shipped_defaults_file_is_the_empty_document_written_out():
     # the README points readers to this file for the defaults
-    shipped = (ROOT / "configs" / "defaults.json").read_text(
-        encoding="utf-8")
-    assert shipped == parse_config({}).to_json()
+    assert loads_config(DEFAULTS_TEXT) == parse_config({})
+    assert json.loads(DEFAULTS_TEXT) == {
+        "radar": RADAR_DEFAULTS, "utility": UTILITY_DEFAULTS,
+        "grids": GRID_DEFAULTS, "scene": SCENE_DEFAULTS,
+        "sweep": SWEEP_DEFAULTS}
+
+
+def test_run_config_is_hashable_and_shares_no_state():
+    first = parse_config({})
+    assert hash(first) == hash(parse_config({}))
+    # nothing reachable from a result can be changed in place
+    with pytest.raises(TypeError):
+        first.scene.range_interval[1] = 250e3
+    with pytest.raises(AttributeError):  # a frozen dataclass
+        first.grid("split").n_h_values = (6, 12, 18, 24)
+    assert parse_config({}) == first
+    assert parse_config({}).scene.range_interval == (10e3, 70e3)
 
 
 # ---------------------------------------------------------------------------
@@ -151,19 +172,18 @@ def test_grid_lookup():
 ])
 def test_to_json_round_trip_is_identity(document, tmp_path):
     cfg = parse_config(document)
-    again = loads_config(cfg.to_json())
-    assert again == cfg
+    text = json.dumps(document)
+    assert loads_config(text) == cfg
     path = tmp_path / "run.json"
-    path.write_text(cfg.to_json(), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     assert load_config(path) == cfg
 
 
 def test_normalized_document_contains_every_section():
     cfg = parse_config({"scene": {"seed": 3}})
-    assert set(cfg.document) == {"radar", "utility", "grids", "scene",
-                                 "sweep"}
-    assert cfg.document["scene"]["seed"] == 3
-    assert cfg.document["scene"]["n_targets"] == 200
+    assert cfg.scene.seed == 3
+    assert cfg.scene.n_targets == 200
+    assert cfg.scene == replace(SceneConfig(), seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +284,7 @@ def numeric_leaves(node, path=()):
             for leaf in numeric_leaves(child, path + (key,))]
 
 
-# the normalized document aliases the module defaults, so work on a copy
-DEFAULT_DOC = json.loads(parse_config({}).to_json())
+DEFAULT_DOC = json.loads(DEFAULTS_TEXT)
 LEAVES = numeric_leaves(DEFAULT_DOC)
 EXTREME_NUMBERS = st.one_of(
     st.sampled_from([10**400, -10**400, 2**63, sys.maxsize, -1, 0,

@@ -27,6 +27,7 @@ from sapa_rrm.radar_model import (
     _row_terms,
     db_to_linear,
     evaluate,
+    evaluate_candidates,
     evaluate_grid,
     linear_to_db,
     track_sharpness,
@@ -610,6 +611,24 @@ def test_evaluate_grid_rejects_bad_element_counts():
         evaluate_grid(np.array([20e-3]), np.array([1.0]), np.array([49.0]),
                       env, CONSTS, SHAPE)
 
+
+def test_raw_snr_past_float64_is_capped_on_every_path():
+    # the raw SNR at t_d = 1e297 s overflows to inf; the pytest
+    # configuration turns an overflow warning into an error
+    env = Environment(range=50e3, bearing=0.0, rcs=1.0,
+                      maneuver_std=10.0, corr_time=4.0)
+    t_d, f_t, n_h = np.array([1e297]), np.array([1.0]), np.array([48])
+    scalar = evaluate(ControlPoint(t_d=1e297, f_t=1.0, n_h=48), env,
+                      CONSTS, SHAPE)
+    grid = evaluate_grid(t_d, f_t, n_h, env, CONSTS, SHAPE)
+    [(flat, q, g, u)] = evaluate_candidates(t_d, f_t, n_h, [env], CONSTS,
+                                            SHAPE)
+    assert scalar.feasible and grid.feasible[0, 0, 0]
+    assert scalar.snr_linear == grid.snr_linear[0, 0, 0] == CONSTS.snr_cap
+    assert flat.tolist() == [0]
+    assert (q[0], g[0], u[0]) == (grid.quality[0, 0, 0],
+                                  grid.resource[0, 0, 0],
+                                  grid.utility[0, 0, 0])
 
 # ---------------------------------------------------------------------------
 # validation
