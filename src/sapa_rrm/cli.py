@@ -54,7 +54,8 @@ from .experiment import (
     sweep,
     write_sweep_outputs,
 )
-from .radar_model import ControlPoint, Environment, evaluate, linear_to_db
+from .radar_model import (ControlPoint, Environment, evaluate,
+                          finite_positive, linear_to_db, range4)
 from .scenario import generate_scene
 
 
@@ -98,21 +99,18 @@ def _finite_float(text: str) -> float:
 
 
 def _si_checked(to_si, unit: str):
-    """argparse type: finite x with a finite, positive m^2 or m^4 to_si(x)."""
+    """argparse type: finite x whose to_si(x), the value the model
+    receives, is a finite positive float."""
     def parse(text: str) -> float:
         value = _finite_float(text)
-        try:
-            si = to_si(value)
-        except OverflowError:
-            si = math.inf
-        if not 0.0 < si < math.inf:
+        if not finite_positive(to_si, value):
             raise argparse.ArgumentTypeError(
                 f"{text!r} gives no finite positive float in {unit}")
         return value
     return parse
 
 
-_range_km = _si_checked(lambda km: (km * 1e3) ** 4, "m^4")
+_range_km = _si_checked(lambda km: range4(km * 1e3), "m^4")
 _rcs_dbsm = _si_checked(lambda dbsm: 10.0 ** (dbsm / 10.0), "m^2")
 
 
@@ -127,7 +125,7 @@ def _range_sweep(text: str) -> list[float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"COUNT is not an integer: {parts[2]!r}") from None
-    if start <= 0 or stop <= start or not 2 <= count <= MAX_AXIS_VALUES:
+    if stop <= start or not 2 <= count <= MAX_AXIS_VALUES:
         raise argparse.ArgumentTypeError(
             f"needs 0 < START < STOP and 2 <= COUNT <= {MAX_AXIS_VALUES}")
     step = (stop - start) / (count - 1)
@@ -140,18 +138,8 @@ def cmd_eval(parser: argparse.ArgumentParser,
     consts = cfg.radar
     if not -90.0 < args.bearing < 90.0:
         parser.error("--bearing must lie strictly inside (-90, 90) degrees")
-    if args.maneuver_std <= 0:
-        parser.error("--maneuver-std must be positive")
-    if args.corr_time <= 0:
-        parser.error("--corr-time must be positive")
-    if args.td <= 0:
-        parser.error("--td must be positive")
-    if args.ft <= 0:
-        parser.error("--ft must be positive")
     if not 1 <= args.nh <= consts.n_h_total:
         parser.error(f"--nh must lie in [1, {consts.n_h_total}]")
-    if args.range is not None and args.range <= 0:
-        parser.error("--range must be positive")
 
     cp = ControlPoint(t_d=args.td * 1e-3, f_t=args.ft, n_h=args.nh)
 
@@ -260,8 +248,7 @@ def cmd_sweep(parser: argparse.ArgumentParser,
         result = sweep(cfg.sweep, cfg.radar, cfg.utility)
     except ValueError as exc:
         parser.error(f"--config: the model cannot be solved on {exc}")
-    written = write_sweep_outputs(result, args.out,
-                                  histogram_budgets=cfg.histogram_budgets)
+    written = write_sweep_outputs(result, args.out)
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 
@@ -287,13 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bearing off boresight [deg], default 0")
     p_eval.add_argument("--rcs", type=_rcs_dbsm, default=0.0,
                         help="radar cross section [dBsm], default 0")
-    p_eval.add_argument("--maneuver-std", type=_finite_float, required=True,
+    p_eval.add_argument("--maneuver-std", type=_si_checked(float, "m/s^2"),
+                        required=True,
                         help="acceleration standard deviation [m/s^2]")
-    p_eval.add_argument("--corr-time", type=_finite_float, required=True,
-                        help="maneuver correlation time [s]")
-    p_eval.add_argument("--td", type=_finite_float, required=True,
-                        help="coherent integration time [ms]")
-    p_eval.add_argument("--ft", type=_finite_float, required=True,
+    p_eval.add_argument("--corr-time", type=_si_checked(float, "s"),
+                        required=True, help="maneuver correlation time [s]")
+    p_eval.add_argument("--td", type=_si_checked(lambda ms: ms * 1e-3, "s"),
+                        required=True, help="coherent integration time [ms]")
+    p_eval.add_argument("--ft", type=_si_checked(float, "Hz"), required=True,
                         help="track update frequency [Hz]")
     p_eval.add_argument("--nh", type=int, required=True,
                         help="horizontal element count")

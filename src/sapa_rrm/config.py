@@ -212,7 +212,6 @@ class RunConfig:
     grids: tuple[tuple[str, ControlGrid], ...]
     scene: SceneConfig
     sweep: SweepConfig
-    histogram_budgets: tuple[float, ...]
 
     def grid(self, name: str) -> ControlGrid:
         for n, g in self.grids:
@@ -265,19 +264,14 @@ def parse_config(document: Any) -> RunConfig:
                   f"(defined grids: {grid_names})")
         if sweep_grids.count(n) > 1:
             _fail("sweep.grids", f"grid {n!r} is listed more than once")
-    hist = [round(b, 10) for b in
-            _expand("sweep.histogram_budgets",
-                    sweep_doc["histogram_budgets"])]
-    for b in hist:
-        if b not in budgets:
-            _fail("sweep.histogram_budgets",
-                  f"{b} is not one of the sweep budgets")
+    hist = _expand("sweep.histogram_budgets", sweep_doc["histogram_budgets"])
     n_mc = _as_int("sweep.n_mc", sweep_doc["n_mc"])
     sweep = _build("sweep", SweepConfig, budgets=tuple(budgets),
                    grids=tuple((n, dict(grids)[n]) for n in sweep_grids),
-                   n_mc=n_mc, scene=scene)
+                   n_mc=n_mc, scene=scene,
+                   histogram_budgets=tuple(round(b, 10) for b in hist))
     return RunConfig(radar=radar, utility=utility, grids=grids, scene=scene,
-                     sweep=sweep, histogram_budgets=tuple(hist))
+                     sweep=sweep)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:

@@ -79,6 +79,7 @@ class SweepConfig:
     grids: tuple[tuple[str, ControlGrid], ...]     # named control grids
     n_mc: int                                      # Monte Carlo run count
     scene: SceneConfig
+    histogram_budgets: tuple[float, ...] = ()      # of element_histogram.csv
 
     def __post_init__(self) -> None:
         budgets = tuple(float(b) for b in self.budgets)
@@ -92,6 +93,12 @@ class SweepConfig:
         if any(float(fmt_budget(b)) != b for b in budgets):
             raise ValueError("budgets must have at most 4 decimals, the "
                              "precision of the CSV files")
+        hist = tuple(float(b) for b in self.histogram_budgets)
+        object.__setattr__(self, "histogram_budgets", hist)
+        for b in hist:
+            if b not in budgets:
+                raise ValueError(f"histogram_budgets must be sweep budgets; "
+                                 f"{b} is not")
         grids = tuple((str(n), g) for n, g in self.grids)
         object.__setattr__(self, "grids", grids)
         if not grids:
@@ -334,17 +341,17 @@ def _run_csv(cells: Mapping[tuple[str, float], RunMetrics],
                       "mean_angular_error_mrad,histogram", rows)
 
 
-def write_sweep_outputs(
-        result: SweepResult, out_dir: str | Path,
-        histogram_budgets: Sequence[float] = ()) -> list[Path]:
+def write_sweep_outputs(result: SweepResult,
+                        out_dir: str | Path) -> list[Path]:
     """Persist a sweep: aggregate CSV per metric plus per-run files.
 
     All writes go through a temp-file rename from this single caller,
-    so readers never observe partial files.  The element histogram is
-    emitted for the requested budgets of the HISTOGRAM_GRID grid;
-    budgets outside the sweep or a sweep without that grid produce a
-    header-only file.  Per-run files that are not part of this sweep,
-    such as those of an earlier, larger sweep, are removed.
+    so readers never observe partial files.  The element histogram of
+    the HISTOGRAM_GRID grid is emitted at the sweep config's
+    histogram_budgets, in budget order and once per budget; a sweep
+    without that grid produces a header-only file.  Per-run files that
+    are not part of this sweep, such as those of an earlier, larger
+    sweep, are removed.
 
     Returns:
         The written paths.
@@ -369,7 +376,7 @@ def write_sweep_outputs(
          _metric_csv(agg.mean_angular_error_mrad, budgets, names,
                      fmt_error_mrad))
     hist_budgets = tuple(b for b in budgets
-                         if any(math.isclose(b, h) for h in histogram_budgets)
+                         if b in result.config.histogram_budgets
                          and HISTOGRAM_GRID in names)
     emit(out / "element_histogram.csv",
          _histogram_csv(agg, hist_budgets, HISTOGRAM_GRID))

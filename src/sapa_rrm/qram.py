@@ -54,8 +54,8 @@ class ControlGrid:
                 raise ValueError(f"{name} must be non-empty")
             if not _strictly_increasing(values):
                 raise ValueError(f"{name} must be strictly increasing")
-        if not (self.t_d_values[0] > 0.0 and self.f_t_values[0] > 0.0):
-            raise ValueError("control values must be positive")
+            if not 0.0 < values[0] <= values[-1] < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.n_h_values[0] < 1:
             raise ValueError("n_h values must be at least 1")
 

@@ -34,6 +34,22 @@ def linear_to_db(linear: float) -> float:
     return 10.0 * math.log10(linear)
 
 
+def finite_positive(to_si, x: float) -> bool:
+    """Whether to_si(x) is a finite positive float (e.g. x in dB or km,
+    to_si(x) in linear units or m^4); an OverflowError counts as inf."""
+    try:
+        si = float(to_si(x))  # an int result past the float range raises
+    except OverflowError:
+        return False
+    return 0.0 < si < math.inf
+
+
+def range4(range_m: float) -> float:
+    """range^4 [m^4], as _env_terms computes it for _raw_snr; 0 at
+    range <= 0, so that finite_positive(range4, r) also asks r > 0."""
+    return max(range_m, 0.0) ** 4
+
+
 @dataclass(frozen=True)
 class RadarConstants:
     """Aggregate radar parameters shared by every task evaluation."""
@@ -46,21 +62,17 @@ class RadarConstants:
     snr_cap_db: float = 40.0      # accuracy credit saturates at this SN0
 
     def __post_init__(self) -> None:
-        if not self.k_rad > 0.0:
-            raise ValueError("k_rad must be positive")
+        for name in ("k_rad", "alpha_bw"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 1 <= self.n_h_total <= sys.maxsize:
             raise ValueError(f"n_h_total must lie in [1, {sys.maxsize}]")
         if not 0.0 < self.p_fa < 1.0:
             raise ValueError("p_fa must lie in (0, 1)")
-        if not self.alpha_bw > 0.0:
-            raise ValueError("alpha_bw must be positive")
         if not self.snr_floor_db < self.snr_cap_db:
             raise ValueError("snr_floor_db must be below snr_cap_db")
-        try:  # the floor lies below the cap, so this bounds both
-            cap = self.snr_cap
-        except OverflowError:
-            cap = math.inf
-        if not 0.0 < cap < math.inf:
+        # the floor lies below the cap, so this bounds both
+        if not finite_positive(db_to_linear, self.snr_cap_db):
             raise ValueError("snr_cap_db must give a positive finite "
                              "linear ratio")
 
@@ -82,10 +94,10 @@ class ControlPoint:
     n_h: int     # horizontal elements assigned to the task
 
     def __post_init__(self) -> None:
-        if not self.t_d > 0.0:
-            raise ValueError("t_d must be positive")
-        if not self.f_t > 0.0:
-            raise ValueError("f_t must be positive")
+        if not 0.0 < self.t_d < math.inf:
+            raise ValueError("t_d must be positive and finite")
+        if not 0.0 < self.f_t < math.inf:
+            raise ValueError("f_t must be positive and finite")
         if not self.n_h >= 1:
             raise ValueError("n_h must be at least 1")
 
@@ -101,16 +113,14 @@ class Environment:
     corr_time: float     # Singer correlation time [s]
 
     def __post_init__(self) -> None:
-        if not self.range > 0.0:
-            raise ValueError("range must be positive")
+        if not finite_positive(range4, self.range):
+            raise ValueError("range must be positive, with a finite "
+                             "positive range^4 in m^4")
         if not abs(self.bearing) < math.pi / 2.0:
             raise ValueError("bearing must lie strictly inside (-pi/2, pi/2)")
-        if not self.rcs > 0.0:
-            raise ValueError("rcs must be positive")
-        if not self.maneuver_std > 0.0:
-            raise ValueError("maneuver_std must be positive")
-        if not self.corr_time > 0.0:
-            raise ValueError("corr_time must be positive")
+        for name in ("rcs", "maneuver_std", "corr_time"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,8 @@ class UtilityShape:
     def __post_init__(self) -> None:
         # Smaller error is better, so the full-reward bound sits below
         # the zero-reward bound.
-        if not 0.0 < self.q_max < self.q_min:
-            raise ValueError("need 0 < q_max < q_min")
+        if not 0.0 < self.q_max < self.q_min < math.inf:
+            raise ValueError("need 0 < q_max < q_min < inf")
 
 
 @dataclass(frozen=True)

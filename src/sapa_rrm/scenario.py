@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radar_model import Environment
+from .radar_model import Environment, finite_positive, range4
 
 
 class TargetType(enum.Enum):
@@ -58,29 +58,24 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.n_targets <= sys.maxsize:  # numpy's size limit
             raise ValueError(f"n_targets must lie in [1, {sys.maxsize}]")
-        if not 0.0 < self.range_interval[0] <= self.range_interval[1]:
-            raise ValueError("range_interval must be positive and ordered")
-        for name in ("bearing_interval", "rcs_interval_dbsm",
-                     "weight_interval"):
+        for name in ("range_interval", "bearing_interval",
+                     "rcs_interval_dbsm", "weight_interval"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"{name} bounds must be ordered")
         if not (-90.0 < self.bearing_interval[0]
                 and self.bearing_interval[1] < 90.0):
             raise ValueError("bearing_interval must lie inside (-90, 90) deg")
-        for name, to_si, unit in (
-                ("range_interval", lambda r: r**4, "m^4"),
-                ("rcs_interval_dbsm", lambda db: 10.0 ** (db / 10.0), "m^2")):
+        for name, to_si, unit in (  # as _raw_snr and generate_scene use them
+                ("range_interval", range4, "range^4 in m^4"),
+                ("rcs_interval_dbsm", lambda db: 10.0 ** (db / 10.0),
+                 "rcs in m^2"),
+                ("weight_interval", lambda w: w * self.n_targets,
+                 "n_targets * weight")):
             for x in getattr(self, name):
-                try:  # as _raw_snr and generate_scene compute them
-                    si = to_si(float(x))
-                except OverflowError:
-                    si = math.inf
-                if not 0.0 < si < math.inf:
-                    raise ValueError(f"{name} bound {x:g} gives no finite "
-                                     f"positive float in {unit}")
-        if not self.weight_interval[0] > 0.0:
-            raise ValueError("weights must be positive")
+                if not finite_positive(to_si, x):
+                    raise ValueError(f"{name} bound {x!r} must give a "
+                                     f"finite positive {unit}")
         p = self.type_probabilities
         if not (min(p) >= 0.0 and abs(sum(p) - 1.0) <= 1e-12):
             raise ValueError("type_probabilities must be >= 0 and sum to 1")

@@ -1,11 +1,16 @@
 """End-to-end tests of the command line front end."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapa_rrm import cli, radar_model
 from sapa_rrm.config import MAX_AXIS_VALUES, parse_config
@@ -127,6 +132,9 @@ def test_eval_range_sweep_emits_one_line_per_range(capsys):
     # the radar time overflows float64
     ["eval", "--maneuver-std", "10", "--corr-time", "4", "--td", "1e308",
      "--ft", "1e10", "--nh", "48", "--range", "50"],
+    # positive in ms, but 0 s once converted
+    ["eval", "--maneuver-std", "10", "--corr-time", "4", "--td", "1e-322",
+     "--ft", "1", "--nh", "48", "--range", "50"],
 ])
 def test_eval_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -171,6 +179,8 @@ def test_eval_range_and_range_sweep_exclude_each_other(first, second,
     (EVAL_BASE + ["--range", "50", "--rcs", "-4000"], "--rcs"),
     # one past the axis cap of config triples; rejected while parsing
     (EVAL_BASE + ["--range-sweep", "10:20:100001"], "--range-sweep"),
+    # positive in ms, but 0 s once converted
+    (EVAL_BASE + ["--range", "50", "--td", "1e-322"], "--td"),
 ])
 def test_non_finite_numbers_exit_2_naming_the_flag(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -179,6 +189,62 @@ def test_non_finite_numbers_exit_2_naming_the_flag(argv, flag, capsys):
     captured = capsys.readouterr()
     assert f"argument {flag}:" in captured.err
     assert captured.out == ""
+
+
+# each flag takes an ordinary value, or (one or two flags per argv) one
+# that is tiny down to subnormal, huge, negative, zero or not finite
+ORDINARY = {"--range": st.floats(1.0, 500.0),
+            "--bearing": st.floats(-80.0, 80.0),
+            "--rcs": st.floats(-20.0, 20.0),
+            "--maneuver-std": st.floats(0.1, 50.0),
+            "--corr-time": st.floats(0.5, 30.0),
+            "--td": st.floats(1.0, 100.0),
+            "--ft": st.floats(0.1, 10.0)}
+EXTREME = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-322, 1e-310, 1e-300, 1e300,
+                     1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.floats(5e-324, 1e-250),
+    st.floats(1e250, 1.7976931348623157e308),
+    st.floats(-1.7976931348623157e308, -5e-324),
+)
+
+
+@st.composite
+def eval_argvs(draw):
+    odd = draw(st.sets(st.sampled_from(sorted(ORDINARY)), min_size=1,
+                       max_size=2))
+    value = {flag: repr(draw(EXTREME if flag in odd else strategy))
+             for flag, strategy in ORDINARY.items()}
+    # --flag=value, since argparse takes a bare "-1e-300" for an option
+    argv = ["eval", f"--nh={draw(st.integers(-1, 50))}"]
+    argv += [f"{flag}={value[flag]}" for flag in list(ORDINARY)[1:]]
+    if draw(st.booleans()):
+        return argv + [f"--range={value['--range']}"]
+    stop = repr(draw(EXTREME if "--range" in odd
+                     else st.floats(500.0, 1000.0)))
+    count = draw(st.integers(1, 4))
+    return argv + [f"--range-sweep={value['--range']}:{stop}:{count}"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not finite JSON: {name}")
+
+
+@settings(deadline=None, max_examples=300)
+@given(argv=eval_argvs())
+def test_eval_argv_fuzz_exits_0_or_2_with_finite_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 2), err.getvalue()
+    if rc == 0:  # one indented object, or one object per swept range
+        text = out.getvalue()
+        swept = argv[-1].startswith("--range-sweep=")
+        for doc in text.splitlines() if swept else [text]:
+            json.loads(doc, parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------

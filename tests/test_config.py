@@ -82,7 +82,7 @@ def test_default_sweep_plan():
     assert cfg.sweep.grid_names == ("split", "full")
     assert dict(cfg.sweep.grids)["split"] == cfg.grid("split")
     assert cfg.sweep.scene == cfg.scene
-    assert cfg.histogram_budgets == (0.1, 0.2, 0.3, 0.4)
+    assert cfg.sweep.histogram_budgets == (0.1, 0.2, 0.3, 0.4)
 
 
 def test_shipped_defaults_file_is_the_empty_document_written_out():
@@ -236,7 +236,7 @@ def test_normalized_document_contains_every_section():
      "sweep:"),
     ({"sweep": {"n_mc": 0}}, "sweep:"),
     ({"sweep": {"histogram_budgets": [0.015]}},
-     "sweep.histogram_budgets: 0.015 is not one of the sweep budgets"),
+     "sweep: histogram_budgets must be sweep budgets; 0.015 is not"),
     ({"sweep": {"grids": ["split", "split", "full"]}},
      "sweep.grids: grid 'split' is listed more than once"),
     # JSON text, since a dict cannot hold a repeated key

@@ -85,6 +85,8 @@ def test_rounding_matches_csv_precision():
     dict(grids=()),
     dict(grids=(("", SPLIT),)),
     dict(grids=(("split", SPLIT), ("split", FULL))),
+    dict(histogram_budgets=(0.3,)),  # not a sweep budget
+    dict(histogram_budgets=(0.5, math.nan)),
 ])
 def test_sweep_config_validation(kwargs):
     base = dict(budgets=(0.2, 0.5), grids=(("split", SPLIT),), n_mc=2,
@@ -288,9 +290,15 @@ def test_utility_grows_with_budget(small_result):
 # persistence
 
 
+def with_histogram(result, budgets):
+    """result, as if its sweep had asked for the histogram at budgets."""
+    return replace(result, config=replace(result.config,
+                                          histogram_budgets=budgets))
+
+
 def test_written_layout_and_ordering(small_result, tmp_path):
-    written = write_sweep_outputs(small_result, tmp_path,
-                                  histogram_budgets=(0.2, 0.4))
+    written = write_sweep_outputs(with_histogram(small_result, (0.2, 0.4)),
+                                  tmp_path)
     names = sorted(p.relative_to(tmp_path).as_posix() for p in written)
     assert names == ["active_tracks.csv", "element_histogram.csv",
                      "mean_angular_error_mrad.csv", "runs/run_0.csv",
@@ -309,17 +317,30 @@ def test_written_layout_and_ordering(small_result, tmp_path):
     assert [int(r[1]) for r in hist_rows[:8]] == list(SPLIT.n_h_values)
 
 
+def test_histogram_rows_follow_the_budgets_once_each(small_result,
+                                                    tmp_path):
+    texts = []
+    for budgets in ((0.4, 0.3, 0.3), (0.3, 0.4)):
+        write_sweep_outputs(with_histogram(small_result, budgets), tmp_path)
+        texts.append((tmp_path / "element_histogram.csv").read_bytes())
+    assert texts[0] == texts[1]
+    rows = texts[1].decode().splitlines()[2:]
+    bins = len(SPLIT.n_h_values)
+    assert [r.split(",")[0] for r in rows] == ["0.3000"] * bins + \
+        ["0.4000"] * bins
+
+
 def test_histogram_file_is_header_only_without_matching_grid(tmp_path):
-    full_only = replace(SMALL_SWEEP, grids=(("full", FULL),), n_mc=1)
-    write_sweep_outputs(sweep(full_only, CONSTS, SHAPE),
-                        tmp_path, histogram_budgets=(0.2,))
+    full_only = replace(SMALL_SWEEP, grids=(("full", FULL),), n_mc=1,
+                        histogram_budgets=(0.2,))
+    write_sweep_outputs(sweep(full_only, CONSTS, SHAPE), tmp_path)
     lines = (tmp_path / "element_histogram.csv").read_text().splitlines()
     assert lines == ["# sapa-rrm v1", "budget,n_h,mean_count"]
 
 
 def test_csv_round_trip_reproduces_aggregate_exactly(small_result,
                                                      tmp_path):
-    write_sweep_outputs(small_result, tmp_path, histogram_budgets=(0.2,))
+    write_sweep_outputs(with_histogram(small_result, (0.2,)), tmp_path)
     back = read_runs(tmp_path)
     assert len(back) == 3
     agg = aggregate_runs(back, SMALL_SWEEP.budgets,

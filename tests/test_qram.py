@@ -910,12 +910,29 @@ def env_with(**kwargs):
     lambda: allocate(ONE_HULL, NAN),
     lambda: allocate_many(ONE_HULL, [0.5, NAN]),
     lambda: brute_force_allocate([cloud([(0.5, 1.0)])], NAN),
+    # infinite values, which used to pass and give u = 1 or g = inf
+    lambda: ControlPoint(t_d=math.inf, f_t=1.0, n_h=48),
+    lambda: ControlPoint(t_d=0.02, f_t=math.inf, n_h=48),
+    lambda: env_with(range=math.inf),
+    lambda: env_with(rcs=math.inf),
+    lambda: env_with(maneuver_std=math.inf),
+    lambda: env_with(corr_time=math.inf),
+    lambda: RadarConstants(k_rad=math.inf),
+    lambda: RadarConstants(alpha_bw=math.inf),
+    lambda: UtilityShape(q_min=math.inf),
+    lambda: ControlGrid(t_d_values=(0.02, math.inf), f_t_values=(1.0,),
+                        n_h_values=(48,)),
+    lambda: ControlGrid(t_d_values=(0.02,), f_t_values=(1.0, math.inf),
+                        n_h_values=(48,)),
 ], ids=["cp.t_d", "cp.f_t", "cp.n_h", "env.range", "env.rcs",
         "env.maneuver_std", "env.corr_time", "consts.k_rad",
         "consts.n_h_total", "consts.alpha_bw", "consts.snr_floor_db",
         "consts.snr_cap_db", "grid.t_d_values", "grid.f_t_values",
         "enumerate.weight", "allocate.r_tot", "allocate_many.budgets",
-        "brute_force.r_tot"])
+        "brute_force.r_tot", "inf-cp.t_d", "inf-cp.f_t", "inf-env.range",
+        "inf-env.rcs", "inf-env.maneuver_std", "inf-env.corr_time",
+        "inf-consts.k_rad", "inf-consts.alpha_bw", "inf-shape.q_min",
+        "inf-grid.t_d_values", "inf-grid.f_t_values"])
 def test_nan_input_is_rejected(build):
     with pytest.raises(ValueError):
         build()

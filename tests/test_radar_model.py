@@ -658,6 +658,13 @@ def test_raw_snr_past_float64_is_capped_on_every_path():
     lambda: RadarConstants(snr_cap_db=4000.0),
     lambda: RadarConstants(snr_floor_db=3500.0, snr_cap_db=4000.0),
     lambda: RadarConstants(snr_floor_db=-5000.0, snr_cap_db=-4000.0),
+    # a range whose range^4 overflows or underflows a float
+    lambda: Environment(range=1e100, bearing=0.0, rcs=1.0,
+                        maneuver_std=1.0, corr_time=1.0),
+    lambda: Environment(range=1e-90, bearing=0.0, rcs=1.0,
+                        maneuver_std=1.0, corr_time=1.0),
+    lambda: Environment(range=-1e4, bearing=0.0, rcs=1.0,
+                        maneuver_std=1.0, corr_time=1.0),
 ])
 def test_invalid_parameters_raise(build):
     with pytest.raises(ValueError):

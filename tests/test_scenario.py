@@ -103,6 +103,10 @@ def test_type_probabilities_are_honored():
     dict(range_interval=(1e-87, 10e3)),
     dict(rcs_interval_dbsm=(-10.0, 1e306)),
     dict(rcs_interval_dbsm=(-4000.0, 10.0)),
+    # generate_scene cannot draw from an infinite weight interval
+    dict(weight_interval=(0.2, math.inf)),
+    # the weights' sum would overflow, and normalize to zeros
+    dict(weight_interval=(0.2, 1e308)),
 ])
 def test_invalid_scene_configs_raise(kwargs):
     with pytest.raises(ValueError):
