@@ -46,15 +46,15 @@ from .config import (MAX_AXIS_VALUES, ConfigError, RunConfig, load_config,
                      parse_config)
 from .experiment import (
     HISTOGRAM_GRID,
-    _atomic_write,
-    _csv_frame,
+    atomic_write,
+    csv_frame,
     fmt_error_mrad,
     fmt_utility,
     solve_scene,
     sweep,
     write_sweep_outputs,
 )
-from .radar_model import (ControlPoint, Environment, evaluate,
+from .radar_model import (ControlPoint, Environment, dbsm_to_m2, evaluate,
                           finite_positive, linear_to_db, range4)
 from .scenario import generate_scene
 
@@ -111,7 +111,7 @@ def _si_checked(to_si, unit: str):
 
 
 _range_km = _si_checked(lambda km: range4(km * 1e3), "m^4")
-_rcs_dbsm = _si_checked(lambda dbsm: 10.0 ** (dbsm / 10.0), "m^2")
+_rcs_dbsm = _si_checked(dbsm_to_m2, "m^2")
 
 
 def _range_sweep(text: str) -> list[float]:
@@ -146,7 +146,7 @@ def cmd_eval(parser: argparse.ArgumentParser,
     def evaluate_at(range_km: float):
         env = Environment(range=range_km * 1e3,
                           bearing=math.radians(args.bearing),
-                          rcs=10.0 ** (args.rcs / 10.0),
+                          rcs=dbsm_to_m2(args.rcs),
                           maneuver_std=args.maneuver_std,
                           corr_time=args.corr_time)
         try:
@@ -217,7 +217,7 @@ def cmd_allocate(parser: argparse.ArgumentParser,
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "allocation.csv", _csv_frame(
+    atomic_write(out / "allocation.csv", csv_frame(
         "task,weight,range_km,bearing_deg,rcs_dbsm,maneuver_std,corr_time,"
         "target_type,t_d_ms,f_t_hz,n_h,q_mrad,g,weighted_utility", rows))
     summary = {
@@ -229,8 +229,7 @@ def cmd_allocate(parser: argparse.ArgumentParser,
         "total_utility": round(result.total_utility, 6),
         "active_tracks": result.active_track_count,
     }
-    _atomic_write(out / "summary.json",
-                  json.dumps(summary, indent=2) + "\n")
+    atomic_write(out / "summary.json", json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out / 'allocation.csv'} and {out / 'summary.json'}")
     return 0
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
 from .experiment import SweepConfig
 from .qram import ControlGrid
-from .radar_model import RadarConstants, UtilityShape
+from .radar_model import FLOAT_MAX, RadarConstants, UtilityShape
 from .scenario import SceneConfig
 
 
@@ -84,7 +83,7 @@ def _build(key: str, cls, **fields):
 def _as_number(key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(key, "must be a number")
-    if not abs(value) <= sys.float_info.max:  # exact for ints of any size
+    if not abs(value) <= FLOAT_MAX:  # exact for ints of any size
         _fail(key, "must be finite")
     return float(value)
 

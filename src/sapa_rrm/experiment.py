@@ -30,7 +30,7 @@ from .qram import (
     enumerate_setpoints,  # noqa: F401  a trace point of perfbench
     enumerate_setpoints_many,
 )
-from .radar_model import RadarConstants, UtilityShape
+from .radar_model import RadarConstants, UtilityShape, is_integer
 from .scenario import Scene, SceneConfig, generate_scene
 
 SCHEMA_HEADER = "# sapa-rrm v1"
@@ -82,23 +82,22 @@ class SweepConfig:
     histogram_budgets: tuple[float, ...] = ()      # of element_histogram.csv
 
     def __post_init__(self) -> None:
-        budgets = tuple(float(b) for b in self.budgets)
+        budgets = tuple(self.budgets)
+        if not budgets or any(not 0.0 < b <= 1.0 for b in budgets):
+            raise ValueError("budgets must be non-empty and lie in (0, 1]")
+        budgets = tuple(map(float, budgets))
         object.__setattr__(self, "budgets", budgets)
-        if not budgets:
-            raise ValueError("budgets must be non-empty")
-        if any(not 0.0 < b <= 1.0 for b in budgets):
-            raise ValueError("budgets must lie in (0, 1]")
         if any(b >= c for b, c in zip(budgets, budgets[1:])):
             raise ValueError("budgets must be strictly increasing")
         if any(float(fmt_budget(b)) != b for b in budgets):
             raise ValueError("budgets must have at most 4 decimals, the "
                              "precision of the CSV files")
-        hist = tuple(float(b) for b in self.histogram_budgets)
-        object.__setattr__(self, "histogram_budgets", hist)
+        hist = tuple(self.histogram_budgets)
         for b in hist:
             if b not in budgets:
                 raise ValueError(f"histogram_budgets must be sweep budgets; "
                                  f"{b} is not")
+        object.__setattr__(self, "histogram_budgets", tuple(map(float, hist)))
         grids = tuple((str(n), g) for n, g in self.grids)
         object.__setattr__(self, "grids", grids)
         if not grids:
@@ -106,8 +105,8 @@ class SweepConfig:
         names = [n for n, _ in grids]
         if len(set(names)) != len(names) or any(not n for n in names):
             raise ValueError("grid names must be unique and non-empty")
-        if self.n_mc < 1:
-            raise ValueError("n_mc must be at least 1")
+        if not (is_integer(self.n_mc) and self.n_mc >= 1):
+            raise ValueError("n_mc must be an integer of at least 1")
 
     @property
     def grid_names(self) -> tuple[str, ...]:
@@ -291,14 +290,14 @@ def sweep(cfg: SweepConfig, consts: RadarConstants = RadarConstants(),
 # ---------------------------------------------------------------------------
 # CSV persistence (schema documented in the cli module)
 
-def _atomic_write(path: Path, text: str) -> None:
+def atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     os.replace(tmp, path)
 
 
-def _csv_frame(header: str, rows: Iterable[str]) -> str:
+def csv_frame(header: str, rows: Iterable[str]) -> str:
     """The schema line, the header, the rows and a final newline."""
     return "\n".join([SCHEMA_HEADER, header, *rows]) + "\n"
 
@@ -314,7 +313,7 @@ def _metric_csv(stats: Mapping[tuple[str, float], CellStats],
                 [fmt_budget(b), name] +
                 [value_fmt(v) for v in (s.mean, s.std,
                                         s.lo2sigma, s.hi2sigma)]))
-    return _csv_frame("budget,grid,mean,std,lo2sigma,hi2sigma", rows)
+    return csv_frame("budget,grid,mean,std,lo2sigma,hi2sigma", rows)
 
 
 def _histogram_csv(agg: AggregateMetrics, budgets: Sequence[float],
@@ -323,7 +322,7 @@ def _histogram_csv(agg: AggregateMetrics, budgets: Sequence[float],
     for b in budgets:
         for n_h, count in agg.element_histogram[(grid_name, b)]:
             rows.append(f"{fmt_budget(b)},{n_h},{fmt_utility(count)}")
-    return _csv_frame("budget,n_h,mean_count", rows)
+    return csv_frame("budget,n_h,mean_count", rows)
 
 
 def _run_csv(cells: Mapping[tuple[str, float], RunMetrics],
@@ -337,8 +336,8 @@ def _run_csv(cells: Mapping[tuple[str, float], RunMetrics],
                 fmt_budget(b), name, str(m.active_tracks),
                 fmt_utility(m.total_utility),
                 fmt_error_mrad(m.mean_angular_error * 1e3), hist]))
-    return _csv_frame("budget,grid,active_tracks,total_utility,"
-                      "mean_angular_error_mrad,histogram", rows)
+    return csv_frame("budget,grid,active_tracks,total_utility,"
+                     "mean_angular_error_mrad,histogram", rows)
 
 
 def write_sweep_outputs(result: SweepResult,
@@ -365,7 +364,7 @@ def write_sweep_outputs(result: SweepResult,
     written = []
 
     def emit(path: Path, text: str) -> None:
-        _atomic_write(path, text)
+        atomic_write(path, text)
         written.append(path)
 
     emit(out / "active_tracks.csv",

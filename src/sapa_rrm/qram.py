@@ -18,19 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .radar_model import (
+    FLOAT_MAX,
     ControlPoint,
     Environment,
     RadarConstants,
     UtilityShape,
     evaluate_candidates,
     evaluate_grid,  # noqa: F401  still looked up as qram.evaluate_grid
+    is_integer,
 )
 
 MAX_CHUNK_ROWS = 8_000  # (t_d, n_h) rows per evaluate_candidates call
-
-
-def _strictly_increasing(values: Sequence[float]) -> bool:
-    return all(b > a for a, b in zip(values, values[1:]))
 
 
 @dataclass(frozen=True)
@@ -52,12 +50,12 @@ class ControlGrid:
             object.__setattr__(self, name, values)
             if not values:
                 raise ValueError(f"{name} must be non-empty")
-            if not _strictly_increasing(values):
-                raise ValueError(f"{name} must be strictly increasing")
-            if not 0.0 < values[0] <= values[-1] < math.inf:
+            if not all(0.0 < v <= FLOAT_MAX for v in values):
                 raise ValueError(f"{name} must be positive and finite")
-        if self.n_h_values[0] < 1:
-            raise ValueError("n_h values must be at least 1")
+            if not all(b > a for a, b in zip(values, values[1:])):
+                raise ValueError(f"{name} must be strictly increasing")
+        if not all(map(is_integer, self.n_h_values)):  # positive: >= 1
+            raise ValueError("n_h_values must be integers")
 
     @property
     def size(self) -> int:
@@ -127,7 +125,7 @@ def enumerate_setpoints_many(tasks: Sequence[tuple[Environment, float]],
     positive and finite.  Consecutive tasks share calls of at most
     MAX_CHUNK_ROWS (t_d, n_h) rows, or a task whose grid has more goes
     alone: that bounds memory and changes no bit."""
-    if not all(0.0 < w < math.inf for _, w in tasks):
+    if not all(0.0 < w <= FLOAT_MAX for _, w in tasks):
         raise ValueError("weight must be positive and finite")
     step = max(1, MAX_CHUNK_ROWS // (len(grid.t_d_values)
                                      * len(grid.n_h_values)))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 LN10_OVER_10 = math.log(10.0) / 10.0
+FLOAT_MAX = sys.float_info.max  # x is a positive real: 0.0 < x <= FLOAT_MAX
 
 
 def db_to_linear(db: float) -> float:
@@ -34,20 +35,28 @@ def linear_to_db(linear: float) -> float:
     return 10.0 * math.log10(linear)
 
 
+def is_integer(x) -> bool:
+    """Whether x is a Python or numpy integer, as every count must be."""
+    return isinstance(x, (int, np.integer))
+
+
 def finite_positive(to_si, x: float) -> bool:
-    """Whether to_si(x) is a finite positive float (e.g. x in dB or km,
-    to_si(x) in linear units or m^4); an OverflowError counts as inf."""
-    try:
-        si = float(to_si(x))  # an int result past the float range raises
-    except OverflowError:
+    """Whether to_si(float(x)), x in bench units, is a positive float."""
+    try:  # on a Python float, not a numpy one, ** and exp raise on overflow
+        return 0.0 < to_si(float(x)) <= FLOAT_MAX
+    except OverflowError:  # also float(x) of an int past the float range
         return False
-    return 0.0 < si < math.inf
 
 
 def range4(range_m: float) -> float:
     """range^4 [m^4], as _env_terms computes it for _raw_snr; 0 at
     range <= 0, so that finite_positive(range4, r) also asks r > 0."""
     return max(range_m, 0.0) ** 4
+
+
+def dbsm_to_m2(db: float) -> float:
+    """Cross section [m^2] of db [dBsm]."""
+    return 10.0 ** (db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -63,18 +72,20 @@ class RadarConstants:
 
     def __post_init__(self) -> None:
         for name in ("k_rad", "alpha_bw"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            if not 0.0 < getattr(self, name) <= FLOAT_MAX:
                 raise ValueError(f"{name} must be positive and finite")
-        if not 1 <= self.n_h_total <= sys.maxsize:
-            raise ValueError(f"n_h_total must lie in [1, {sys.maxsize}]")
+        if not (is_integer(self.n_h_total)
+                and 1 <= self.n_h_total <= sys.maxsize):
+            raise ValueError(f"n_h_total must lie in [1, {sys.maxsize}] "
+                             f"and be an integer")
         if not 0.0 < self.p_fa < 1.0:
             raise ValueError("p_fa must lie in (0, 1)")
-        if not self.snr_floor_db < self.snr_cap_db:
-            raise ValueError("snr_floor_db must be below snr_cap_db")
-        # the floor lies below the cap, so this bounds both
         if not finite_positive(db_to_linear, self.snr_cap_db):
             raise ValueError("snr_cap_db must give a positive finite "
                              "linear ratio")
+        # float(): comparing a huge int with a numpy float raises OverflowError
+        if not -FLOAT_MAX <= self.snr_floor_db < float(self.snr_cap_db):
+            raise ValueError("snr_floor_db must be finite, below snr_cap_db")
 
     @property
     def snr_floor(self) -> float:
@@ -94,12 +105,12 @@ class ControlPoint:
     n_h: int     # horizontal elements assigned to the task
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.t_d < math.inf:
+        if not 0.0 < self.t_d <= FLOAT_MAX:
             raise ValueError("t_d must be positive and finite")
-        if not 0.0 < self.f_t < math.inf:
+        if not 0.0 < self.f_t <= FLOAT_MAX:
             raise ValueError("f_t must be positive and finite")
-        if not self.n_h >= 1:
-            raise ValueError("n_h must be at least 1")
+        if not (is_integer(self.n_h) and self.n_h >= 1):
+            raise ValueError("n_h must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -114,12 +125,11 @@ class Environment:
 
     def __post_init__(self) -> None:
         if not finite_positive(range4, self.range):
-            raise ValueError("range must be positive, with a finite "
-                             "positive range^4 in m^4")
-        if not abs(self.bearing) < math.pi / 2.0:
+            raise ValueError("range must give a finite positive range^4")
+        if not -math.pi / 2.0 < self.bearing < math.pi / 2.0:
             raise ValueError("bearing must lie strictly inside (-pi/2, pi/2)")
         for name in ("rcs", "maneuver_std", "corr_time"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            if not 0.0 < getattr(self, name) <= FLOAT_MAX:
                 raise ValueError(f"{name} must be positive and finite")
 
 
@@ -133,8 +143,9 @@ class UtilityShape:
     def __post_init__(self) -> None:
         # Smaller error is better, so the full-reward bound sits below
         # the zero-reward bound.
-        if not 0.0 < self.q_max < self.q_min < math.inf:
-            raise ValueError("need 0 < q_max < q_min < inf")
+        if not (all(0.0 < q <= FLOAT_MAX for q in (self.q_max, self.q_min))
+                and self.q_max < self.q_min):
+            raise ValueError("need 0 < q_max < q_min, both finite")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radar_model import Environment, finite_positive, range4
+from .radar_model import (Environment, dbsm_to_m2, finite_positive,
+                          is_integer, range4)
 
 
 class TargetType(enum.Enum):
@@ -56,31 +57,33 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_targets <= sys.maxsize:  # numpy's size limit
-            raise ValueError(f"n_targets must lie in [1, {sys.maxsize}]")
-        for name in ("range_interval", "bearing_interval",
-                     "rcs_interval_dbsm", "weight_interval"):
-            lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise ValueError(f"{name} bounds must be ordered")
-        if not (-90.0 < self.bearing_interval[0]
-                and self.bearing_interval[1] < 90.0):
+        if not (is_integer(self.n_targets)  # numpy's size limit
+                and 1 <= self.n_targets <= sys.maxsize):
+            raise ValueError(f"n_targets must lie in [1, {sys.maxsize}] "
+                             f"and be an integer")
+        if not all(-90.0 < x < 90.0 for x in self.bearing_interval):
             raise ValueError("bearing_interval must lie inside (-90, 90) deg")
         for name, to_si, unit in (  # as _raw_snr and generate_scene use them
                 ("range_interval", range4, "range^4 in m^4"),
-                ("rcs_interval_dbsm", lambda db: 10.0 ** (db / 10.0),
-                 "rcs in m^2"),
-                ("weight_interval", lambda w: w * self.n_targets,
+                ("rcs_interval_dbsm", dbsm_to_m2, "rcs in m^2"),
+                ("weight_interval", lambda w: w * int(self.n_targets),
                  "n_targets * weight")):
             for x in getattr(self, name):
                 if not finite_positive(to_si, x):
                     raise ValueError(f"{name} bound {x!r} must give a "
                                      f"finite positive {unit}")
+        # every bound is finite now, so no huge int meets a numpy float here
+        for name in ("range_interval", "bearing_interval",
+                     "rcs_interval_dbsm", "weight_interval"):
+            lo, hi = getattr(self, name)
+            if not lo <= hi:
+                raise ValueError(f"{name} bounds must be ordered")
         p = self.type_probabilities
-        if not (min(p) >= 0.0 and abs(sum(p) - 1.0) <= 1e-12):
+        if not (all(0.0 <= x <= 1.0 for x in p)
+                and abs(sum(p) - 1.0) <= 1e-12):
             raise ValueError("type_probabilities must be >= 0 and sum to 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise ValueError("seed must be >= 0 and an integer")
 
 
 @dataclass(frozen=True)
@@ -99,23 +102,13 @@ class Scene:
     tasks: tuple[TrackingTask, ...]
 
 
-def normalize_weights(raw: list[float] | tuple[float, ...]) -> list[float]:
-    """Scale positive weights so they sum to 1, preserving ratios."""
-    if not raw:
-        raise ValueError("weight list must be non-empty")
-    if min(raw) <= 0.0:
-        raise ValueError("weights must be positive")
-    total = sum(raw)
-    return [w / total for w in raw]
-
-
 def generate_scene(cfg: SceneConfig) -> Scene:
     """Draw one scene from the configured distributions.
 
     Per target, its child stream draws in a fixed order: bearing, RCS
     in dB (then converted to m^2), type, maneuver std, correlation
     time, range, raw weight.  Weights are normalized across the scene
-    afterwards.
+    afterwards; SceneConfig keeps their sum positive and finite.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_targets)
     envs: list[Environment] = []
@@ -136,11 +129,11 @@ def generate_scene(cfg: SceneConfig) -> Scene:
         raw_weights.append(rng.uniform(*cfg.weight_interval))
         envs.append(Environment(range=target_range,
                                 bearing=math.radians(bearing_deg),
-                                rcs=10.0 ** (rcs_db / 10.0),
+                                rcs=dbsm_to_m2(rcs_db),
                                 maneuver_std=maneuver_std,
                                 corr_time=corr_time))
         types.append(ttype)
-    weights = normalize_weights(raw_weights)
-    tasks = tuple(TrackingTask(environment=env, weight=w, target_type=tt)
-                  for env, w, tt in zip(envs, weights, types))
+    total = sum(raw_weights)
+    tasks = tuple(TrackingTask(env, w / total, tt)
+                  for env, w, tt in zip(envs, raw_weights, types))
     return Scene(tasks=tasks)

@@ -2,14 +2,19 @@
 
 import hashlib
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapa_rrm import experiment, qram
 from sapa_rrm.experiment import (
     RunMetrics,
     SweepConfig,
+    SweepResult,
     aggregate_runs,
     derive_run_seed,
     evaluate_scene,
@@ -22,8 +27,12 @@ from sapa_rrm.experiment import (
     write_sweep_outputs,
 )
 from sapa_rrm.qram import ControlGrid
-from sapa_rrm.radar_model import RadarConstants, UtilityShape
-from sapa_rrm.scenario import SceneConfig, generate_scene
+from sapa_rrm.radar_model import (Environment, RadarConstants, UtilityShape,
+                                  evaluate_grid)
+from sapa_rrm.scenario import (Scene, SceneConfig, TargetType, TrackingTask,
+                               generate_scene)
+
+from oracles import env_on_cap, reference_majorant, reference_runs
 
 CONSTS = RadarConstants()
 SHAPE = UtilityShape()
@@ -87,6 +96,10 @@ def test_rounding_matches_csv_precision():
     dict(grids=(("split", SPLIT), ("split", FULL))),
     dict(histogram_budgets=(0.3,)),  # not a sweep budget
     dict(histogram_budgets=(0.5, math.nan)),
+    dict(n_mc=1.5),
+    # ints past the float range
+    dict(budgets=(0.2, 10**400)),
+    dict(histogram_budgets=(10**400,)),
 ])
 def test_sweep_config_validation(kwargs):
     base = dict(budgets=(0.2, 0.5), grids=(("split", SPLIT),), n_mc=2,
@@ -378,3 +391,117 @@ def test_read_run_csv_units_and_header_check(small_result, tmp_path):
     bad.write_text("budget,grid\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_run_csv(bad)
+
+
+# ---------------------------------------------------------------------------
+# the whole sweep against a reference built from the textbook steps
+
+
+def assert_sweep_matches_reference(cfg, scenes):
+    """sweep(cfg) against tests/oracles.reference_runs on the runs'
+    scenes: equal runs, bit for bit, and byte-identical CSV trees."""
+    result = sweep(cfg, CONSTS, SHAPE)
+    runs = reference_runs(cfg, scenes, CONSTS, SHAPE)
+    assert result.runs == runs
+    reference = SweepResult(config=cfg, run_seeds=result.run_seeds,
+                            runs=runs, aggregate=aggregate_runs(
+                                runs, cfg.budgets, cfg.grid_names))
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = []
+        for side, res in (("sweep", result), ("reference", reference)):
+            out = Path(tmp) / side
+            trees.append({p.relative_to(out).as_posix(): p.read_bytes()
+                          for p in write_sweep_outputs(res, out)})
+        assert trees[0] == trees[1]
+
+
+def axis(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=3,
+                    unique=True).map(lambda v: tuple(sorted(v)))
+
+
+@st.composite
+def small_sweeps(draw):
+    """Split and full grids of 1-3 values per axis, 1-8 targets out to
+    ranges and cross sections that no grid point detects, 1-4 budgets of
+    at most 4 decimals and 1-2 runs."""
+    t_d = draw(axis([2e-3, 4e-3, 8e-3, 16e-3, 32e-3, 64e-3]))
+    f_t = draw(axis([0.25, 0.5, 1.0, 2.0, 4.0]))
+    split = ControlGrid(t_d, f_t, draw(axis([6, 12, 24, 36, 48])))
+    budgets = tuple(k / 10_000 for k in sorted(draw(st.lists(
+        st.integers(1, 10_000), min_size=1, max_size=4, unique=True))))
+    ranges_km = sorted(draw(st.lists(st.sampled_from([5, 30, 100, 300, 600]),
+                                     min_size=2, max_size=2)))
+    scene = SceneConfig(n_targets=draw(st.integers(1, 8)),
+                        range_interval=tuple(r * 1e3 for r in ranges_km),
+                        rcs_interval_dbsm=(-20.0, 10.0),
+                        seed=draw(st.integers(0, 2**32)))
+    return SweepConfig(
+        budgets=budgets, grids=(("split", split),
+                                ("full", ControlGrid(t_d, f_t, (48,)))),
+        n_mc=draw(st.integers(1, 2)), scene=scene,
+        histogram_budgets=tuple(sorted(draw(st.sets(st.sampled_from(
+            budgets))))))
+
+
+@given(small_sweeps())
+@settings(deadline=None, max_examples=100)
+def test_sweep_matches_the_reference_built_from_textbook_steps(cfg):
+    scenes = [generate_scene(replace(cfg.scene, seed=s))
+              for s in (derive_run_seed(cfg.scene.seed, r)
+                        for r in range(cfg.n_mc))]
+    assert_sweep_matches_reference(cfg, scenes)
+
+
+PINNED_SPLIT = ControlGrid(t_d_values=(4e-3, 20e-3, 64e-3),
+                           f_t_values=(0.5, 1.0, 2.0), n_h_values=(6, 24, 48))
+PINNED_FULL = replace(PINNED_SPLIT, n_h_values=(48,))
+NEAR = Environment(range=20e3, bearing=0.1, rcs=1.0, maneuver_std=5.0,
+                   corr_time=4.0)
+# detected at 3 split points, none of them better than q_min
+U_ZERO = Environment(range=400e3, bearing=1.0, rcs=0.1, maneuver_std=100.0,
+                     corr_time=20.0)
+BLIND = Environment(range=900e3, bearing=0.0, rcs=0.01, maneuver_std=20.0,
+                    corr_time=10.0)
+
+
+ON_CAP = env_on_cap(PINNED_SPLIT, 1, 24)  # raw SNR at 20 ms, 24 elements
+
+
+def split_hull(env):
+    return reference_majorant(env, 1.0, PINNED_SPLIT, CONSTS, SHAPE).points
+
+
+def all_u_zero(env):
+    ev = evaluate_grid(PINNED_SPLIT.t_d_values, PINNED_SPLIT.f_t_values,
+                       PINNED_SPLIT.n_h_values, env, CONSTS, SHAPE)
+    return ev.feasible.any() and not ev.utility[ev.feasible].any()
+
+
+# Cases that broke a layer before, each with a check that it is one:
+# identical tasks, so that each hull segment ties with the other task's;
+# a raw SNR exactly on the cap; a detected task whose every point has
+# u = 0, next to a blind one; and a budget below every first segment.
+@pytest.mark.parametrize("envs, budgets, claim", [
+    ([NEAR, NEAR], (0.002, 0.01, 0.05),
+     lambda envs, budgets: len(split_hull(NEAR)) >= 2),
+    ([ON_CAP, NEAR], (0.005, 0.02, 0.3),
+     lambda envs, budgets: len(split_hull(ON_CAP)) >= 1),
+    ([U_ZERO, BLIND, NEAR], (0.01, 1.0),
+     lambda envs, budgets: all_u_zero(U_ZERO) and not all_u_zero(BLIND)),
+    ([NEAR, U_ZERO, ON_CAP], (0.0001,),
+     lambda envs, budgets: all(budgets[0] < split_hull(env)[0].resource
+                               for env in (NEAR, ON_CAP))),
+], ids=["tied-marginals", "snr-on-cap", "all-u-zero", "budget-below-all"])
+def test_pinned_sweeps_match_the_reference(monkeypatch, envs, budgets,
+                                           claim):
+    assert claim(envs, budgets)
+    scene = Scene(tasks=tuple(TrackingTask(env, 1.0 / len(envs),
+                                           TargetType.TYPE_I)
+                              for env in envs))
+    monkeypatch.setattr(experiment, "generate_scene", lambda cfg: scene)
+    cfg = SweepConfig(budgets=budgets, grids=(("split", PINNED_SPLIT),
+                                              ("full", PINNED_FULL)),
+                      n_mc=2, scene=SceneConfig(n_targets=len(envs)),
+                      histogram_budgets=budgets)
+    assert_sweep_matches_reference(cfg, [scene, scene])

@@ -41,7 +41,10 @@ from sapa_rrm.radar_model import (
     evaluate,
     evaluate_grid,
 )
-from sapa_rrm.scenario import generate_scene
+from sapa_rrm.experiment import SweepConfig
+from sapa_rrm.scenario import SceneConfig, generate_scene
+
+from oracles import env_on_cap, keyed_greedy_allocate, two_key_hull_indices
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -244,40 +247,6 @@ def test_majorant_of_enumerated_task_stays_below_point_count():
         assert p.resource > 0.0 and p.weighted_utility > 0.0
 
 
-def two_key_hull_indices(g, wu):
-    """Oracle: the hull scan behind a two-key sort (resource asc, utility
-    desc) that keeps only the best point of each resource."""
-    if g.size == 0:
-        return []
-    order = np.lexsort((-wu, g))
-    wu_sorted = wu[order]
-    best_before = np.empty_like(wu_sorted)
-    best_before[0] = 0.0
-    np.maximum.accumulate(wu_sorted[:-1], out=best_before[1:])
-    np.maximum(best_before, 0.0, out=best_before)
-    frontier = order[wu_sorted > best_before]
-
-    hull = []
-    xs = [0.0]
-    ys = [0.0]
-    g_list = g[frontier].tolist()
-    wu_list = wu[frontier].tolist()
-    for idx, x, y in zip(frontier.tolist(), g_list, wu_list):
-        while hull:
-            x1, y1 = xs[-2], ys[-2]
-            x2, y2 = xs[-1], ys[-1]
-            if (y - y1) * (x2 - x1) >= (y2 - y1) * (x - x1):
-                hull.pop()
-                xs.pop()
-                ys.pop()
-            else:
-                break
-        hull.append(idx)
-        xs.append(x)
-        ys.append(y)
-    return hull
-
-
 # few distinct values, so that resources tie, (g, wu) pairs repeat and
 # points fall on one chord; no task has a negative utility, but the
 # oracle defines the hull for one too
@@ -392,26 +361,6 @@ def assert_pruned_matches_oracle(env, weight, grid, pts=None):
 def test_enumerate_drops_only_points_that_cannot_reach_the_hull(
         env, weight, grid_name):
     assert_pruned_matches_oracle(env, weight, GRIDS[grid_name])
-
-
-def env_on_cap(grid, t_index, n_h):
-    """An environment whose raw SNR at (t_d_values[t_index], n_h) is
-    exactly the cap: the rcs is stepped one ulp at a time onto it."""
-    t_d = np.array([grid.t_d_values[t_index]])
-    nh = np.array([float(n_h)])
-    for range_m in (61e3, 62e3, 47e3):
-        fields = dict(range=range_m, bearing=0.3, maneuver_std=10.0,
-                      corr_time=4.0)
-        rcs = CONSTS.snr_cap / _raw_snr_table(
-            t_d, nh, _env_terms(Environment(rcs=1.0, **fields)), CONSTS)[0, 0]
-        for _ in range(16):
-            env = Environment(rcs=float(rcs), **fields)
-            raw = _raw_snr_table(t_d, nh, _env_terms(env), CONSTS)[0, 0]
-            if raw == CONSTS.snr_cap:
-                return env
-            rcs = np.nextafter(rcs, math.inf if raw < CONSTS.snr_cap
-                               else -math.inf)
-    raise AssertionError("no rcs puts the raw SNR exactly on the cap")
 
 
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
@@ -766,39 +715,6 @@ def test_allocate_many_equals_repeated_allocate():
         allocate_many(majorants, [0.5, -0.1])
 
 
-def keyed_greedy_allocate(majorants, r_tot):
-    """Oracle: the greedy behind a keyed sort on (marginal, task, segment)
-    that tracks the next segment and the last vertex of each task."""
-    segments = []
-    for ti, mj in enumerate(majorants):
-        prev_g, prev_wu = 0.0, 0.0
-        for si, p in enumerate(mj.points):
-            dg = p.resource - prev_g
-            dwu = p.weighted_utility - prev_wu
-            segments.append((dwu / dg, ti, si, dg, dwu))
-            prev_g, prev_wu = p.resource, p.weighted_utility
-    segments.sort(key=lambda s: (-s[0], s[1], s[2]))
-
-    used = 0.0
-    total_wu = 0.0
-    next_seg = [0] * len(majorants)
-    last_vertex = [-1] * len(majorants)
-    for _marginal, ti, si, dg, dwu in segments:
-        if si != next_seg[ti]:
-            continue
-        if used + dg <= r_tot:
-            used += dg
-            total_wu += dwu
-            next_seg[ti] = si + 1
-            last_vertex[ti] = si
-    assignments = tuple(
-        None if vi < 0 else Assignment(set_point=mj.points[vi],
-                                       vertex_index=vi)
-        for mj, vi in zip(majorants, last_vertex))
-    return AllocationResult(assignments=assignments, total_resource=used,
-                            total_utility=total_wu)
-
-
 # dyadic values, so that marginals tie exactly across tasks and budgets
 # land exactly on sums of segment costs
 LATTICE = [k / 8 for k in range(1, 9)]
@@ -924,6 +840,18 @@ def env_with(**kwargs):
                         n_h_values=(48,)),
     lambda: ControlGrid(t_d_values=(0.02,), f_t_values=(1.0, math.inf),
                         n_h_values=(48,)),
+    # ints past the float range, which compare below math.inf
+    lambda: ControlPoint(t_d=10**400, f_t=1.0, n_h=48),
+    lambda: env_with(rcs=10**400),
+    lambda: RadarConstants(k_rad=10**400),
+    lambda: RadarConstants(snr_floor_db=-10**400),
+    lambda: UtilityShape(q_min=10**400),
+    lambda: ControlGrid(t_d_values=(10**400,), f_t_values=(1.0,),
+                        n_h_values=(48,)),
+    lambda: enumerate_setpoints(NEAR_ENV, 10**400, SMALL_GRID, CONSTS, SHAPE),
+    # counts that are not integers
+    lambda: ControlGrid(t_d_values=(0.02,), f_t_values=(1.0,),
+                        n_h_values=(6.5, 48)),
 ], ids=["cp.t_d", "cp.f_t", "cp.n_h", "env.range", "env.rcs",
         "env.maneuver_std", "env.corr_time", "consts.k_rad",
         "consts.n_h_total", "consts.alpha_bw", "consts.snr_floor_db",
@@ -932,7 +860,72 @@ def env_with(**kwargs):
         "brute_force.r_tot", "inf-cp.t_d", "inf-cp.f_t", "inf-env.range",
         "inf-env.rcs", "inf-env.maneuver_std", "inf-env.corr_time",
         "inf-consts.k_rad", "inf-consts.alpha_bw", "inf-shape.q_min",
-        "inf-grid.t_d_values", "inf-grid.f_t_values"])
+        "inf-grid.t_d_values", "inf-grid.f_t_values", "int-cp.t_d",
+        "int-env.rcs", "int-consts.k_rad", "int-consts.snr_floor_db",
+        "int-shape.q_min", "int-grid.t_d_values", "int-enumerate.weight",
+        "count-grid.n_h_values"])
 def test_nan_input_is_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+# Numbers that have broken a check before: ints past the float range,
+# non-finite and non-positive values, values whose bench-unit conversion
+# overflows, fractional counts, and float64 and int64 numpy scalars,
+# whose arithmetic warns (an error under this suite's warning filter)
+# where Python's raises.  numpy float32 is left out: comparing one with
+# FLOAT_MAX casts the bound to float32, which overflows to inf.
+ADVERSARIAL = [10**400, -10**400, math.inf, -math.inf, NAN, 0, 0.0, -0.0,
+               -1, -1e-3, 6.5, 1e308, 5e-324, 2**63, np.float64(1e308),
+               np.float64(NAN), np.float64(-math.inf),
+               np.int64(-2**63), np.int64(2**62), np.int64(6)]
+numbers = st.one_of(st.sampled_from(ADVERSARIAL),
+                    st.floats(), st.floats().map(np.float64),
+                    st.integers(min_value=-2**63, max_value=2**63 - 1),
+                    st.integers(min_value=-2**63,
+                                max_value=2**63 - 1).map(np.int64))
+number_tuples = st.lists(numbers, min_size=1, max_size=3).map(tuple)
+number_pairs = st.tuples(numbers, numbers)
+
+# per model type: valid values of its required fields, and a strategy
+# for each of its numeric fields
+MODEL_TYPES = {
+    RadarConstants: ({}, dict.fromkeys(
+        ("k_rad", "n_h_total", "p_fa", "alpha_bw", "snr_floor_db",
+         "snr_cap_db"), numbers)),
+    ControlPoint: (dict(t_d=0.02, f_t=1.0, n_h=48),
+                   dict.fromkeys(("t_d", "f_t", "n_h"), numbers)),
+    Environment: (dict(range=50e3, bearing=0.0, rcs=1.0, maneuver_std=10.0,
+                       corr_time=4.0),
+                  dict.fromkeys(("range", "bearing", "rcs", "maneuver_std",
+                                 "corr_time"), numbers)),
+    UtilityShape: ({}, dict.fromkeys(("q_min", "q_max"), numbers)),
+    ControlGrid: (dict(t_d_values=(0.02,), f_t_values=(1.0,),
+                       n_h_values=(48,)),
+                  dict.fromkeys(("t_d_values", "f_t_values", "n_h_values"),
+                                number_tuples)),
+    SceneConfig: ({}, {"n_targets": numbers, "seed": numbers,
+                       **dict.fromkeys(("range_interval", "bearing_interval",
+                                        "rcs_interval_dbsm", "weight_interval",
+                                        "type_probabilities"),
+                                       number_pairs)}),
+    SweepConfig: (dict(budgets=(0.5,), grids=(("split", SMALL_GRID),),
+                       n_mc=1, scene=SceneConfig()),
+                  {"budgets": number_tuples, "n_mc": numbers,
+                   "histogram_budgets": number_tuples}),
+}
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_model_types_take_any_number_or_raise_value_error(data):
+    cls = data.draw(st.sampled_from(list(MODEL_TYPES)), label="type")
+    required, fields = MODEL_TYPES[cls]
+    names = data.draw(st.sets(st.sampled_from(sorted(fields)), min_size=1),
+                      label="fields")
+    kwargs = {**required,
+              **{name: data.draw(fields[name], label=name) for name in names}}
+    try:
+        cls(**kwargs)
+    except ValueError:
+        pass

@@ -665,6 +665,10 @@ def test_raw_snr_past_float64_is_capped_on_every_path():
                         maneuver_std=1.0, corr_time=1.0),
     lambda: Environment(range=-1e4, bearing=0.0, rcs=1.0,
                         maneuver_std=1.0, corr_time=1.0),
+    # a floor past the float range, and counts that are not integers
+    lambda: RadarConstants(snr_floor_db=-math.inf),
+    lambda: RadarConstants(n_h_total=48.5),
+    lambda: ControlPoint(t_d=20e-3, f_t=1.0, n_h=6.5),
 ])
 def test_invalid_parameters_raise(build):
     with pytest.raises(ValueError):

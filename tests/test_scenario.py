@@ -9,7 +9,6 @@ from sapa_rrm.scenario import (
     SceneConfig,
     TargetType,
     generate_scene,
-    normalize_weights,
 )
 
 
@@ -49,16 +48,12 @@ def test_weights_are_normalized():
     weights = [t.weight for t in scene.tasks]
     assert all(w > 0.0 for w in weights)
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_normalize_weights_preserves_ratios():
-    out = normalize_weights([2.0, 6.0])
-    assert out == pytest.approx([0.25, 0.75])
-    assert sum(normalize_weights([0.3, 0.4, 0.9])) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        normalize_weights([])
-    with pytest.raises(ValueError):
-        normalize_weights([1.0, 0.0])
+    # each weight is its target's raw draw over the scene's sum, so the
+    # ratio of two targets' weights holds in a larger scene of one seed
+    larger = generate_scene(SceneConfig(n_targets=80, seed=3))
+    assert [t.weight / larger.tasks[0].weight
+            for t in larger.tasks[:64]] == \
+        pytest.approx([w / weights[0] for w in weights], rel=1e-12)
 
 
 def test_target_draws_do_not_depend_on_scene_size():
@@ -107,6 +102,10 @@ def test_type_probabilities_are_honored():
     dict(weight_interval=(0.2, math.inf)),
     # the weights' sum would overflow, and normalize to zeros
     dict(weight_interval=(0.2, 1e308)),
+    # counts that are not integers, and a probability whose sum overflows
+    dict(n_targets=3.5),
+    dict(seed=1.5),
+    dict(type_probabilities=(10**400, 0.5)),
 ])
 def test_invalid_scene_configs_raise(kwargs):
     with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Static checks on the package sources.
 
-No linter is a dependency, so the one lint rule the package keeps, no
-unused imports, is checked here by parsing each module.
+No linter is a dependency, so the two import rules the package keeps
+are checked here by parsing each module: no unused imports, and no
+module imports another module's underscore (private) name.
 """
 
 import ast
@@ -54,3 +55,35 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source):
+    """(line, name) of each underscore name imported from the package.
+
+    Dunder names such as __version__ are public.
+    """
+    return sorted(
+        (alias.lineno, alias.name) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "sapa_rrm")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__"))
+
+
+def test_checker_finds_private_imports():
+    source = ("from __future__ import annotations\n"
+              "from os import _exit\n"
+              "from .experiment import (\n"
+              "    _atomic_write,\n"
+              "    fmt_budget,\n"
+              ")\n"
+              "from sapa_rrm.qram import _hull_indices\n"
+              "from . import __version__\n")
+    assert private_imports(source) == [(4, "_atomic_write"),
+                                       (7, "_hull_indices")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
