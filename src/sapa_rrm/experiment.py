@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -381,10 +382,16 @@ def write_sweep_outputs(result: SweepResult,
          _histogram_csv(agg, hist_budgets, HISTOGRAM_GRID))
     for r, cells in enumerate(result.runs):
         emit(runs_dir / f"run_{r}.csv", _run_csv(cells, budgets, names))
-    for path in runs_dir.glob("run_*.csv"):
+    for _, path in _run_files(runs_dir):
         if path not in written:  # left by an earlier, larger sweep
             path.unlink()
     return written
+
+
+def _run_files(runs_dir: Path) -> list[tuple[int, Path]]:
+    """(index, path) of each run_<index>.csv in runs_dir, by index."""
+    return sorted((int(m[1]), p) for p in runs_dir.glob("run_*.csv")
+                  if (m := re.fullmatch(r"run_(0|[1-9][0-9]*)\.csv", p.name)))
 
 
 def _parse_histogram(text: str) -> tuple[tuple[int, int], ...]:
@@ -422,7 +429,4 @@ def read_run_csv(path: str | Path) -> dict[tuple[str, float], RunMetrics]:
 def read_runs(out_dir: str | Path) -> list[dict[tuple[str, float],
                                                 RunMetrics]]:
     """All per-run tables under out_dir/runs, ordered by run index."""
-    runs_dir = Path(out_dir) / "runs"
-    paths = sorted(runs_dir.glob("run_*.csv"),
-                   key=lambda p: int(p.stem.split("_")[1]))
-    return [read_run_csv(p) for p in paths]
+    return [read_run_csv(p) for _, p in _run_files(Path(out_dir) / "runs")]

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .radar_model import (
-    FLOAT_MAX,
     ControlPoint,
     Environment,
     RadarConstants,
     UtilityShape,
     evaluate_candidates,
     evaluate_grid,  # noqa: F401  still looked up as qram.evaluate_grid
+    finite_positive,
     is_integer,
 )
 
@@ -50,9 +50,9 @@ class ControlGrid:
             object.__setattr__(self, name, values)
             if not values:
                 raise ValueError(f"{name} must be non-empty")
-            if not all(0.0 < v <= FLOAT_MAX for v in values):
+            if not all(finite_positive(float, v) for v in values):
                 raise ValueError(f"{name} must be positive and finite")
-            if not all(b > a for a, b in zip(values, values[1:])):
+            if any(float(b) <= float(a) for a, b in zip(values, values[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
         if not all(map(is_integer, self.n_h_values)):  # positive: >= 1
             raise ValueError("n_h_values must be integers")
@@ -125,7 +125,7 @@ def enumerate_setpoints_many(tasks: Sequence[tuple[Environment, float]],
     positive and finite.  Consecutive tasks share calls of at most
     MAX_CHUNK_ROWS (t_d, n_h) rows, or a task whose grid has more goes
     alone: that bounds memory and changes no bit."""
-    if not all(0.0 < w <= FLOAT_MAX for _, w in tasks):
+    if not all(finite_positive(float, w) for _, w in tasks):
         raise ValueError("weight must be positive and finite")
     step = max(1, MAX_CHUNK_ROWS // (len(grid.t_d_values)
                                      * len(grid.n_h_values)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 LN10_OVER_10 = math.log(10.0) / 10.0
-FLOAT_MAX = sys.float_info.max  # x is a positive real: 0.0 < x <= FLOAT_MAX
+FLOAT_MAX = sys.float_info.max
 
 
 def db_to_linear(db: float) -> float:
@@ -41,9 +41,12 @@ def is_integer(x) -> bool:
 
 
 def finite_positive(to_si, x: float) -> bool:
-    """Whether to_si(float(x)), x in bench units, is a positive float."""
+    """Whether x is a Python or numpy number, of any width, whose
+    to_si(float(x)), x in bench units, is a positive float.  Compare
+    float(x) once it holds: a float32 meeting a larger float warns."""
     try:  # on a Python float, not a numpy one, ** and exp raise on overflow
-        return 0.0 < to_si(float(x)) <= FLOAT_MAX
+        return (isinstance(x, (int, float, np.integer, np.floating))
+                and 0.0 < to_si(float(x)) <= FLOAT_MAX)
     except OverflowError:  # also float(x) of an int past the float range
         return False
 
@@ -72,7 +75,7 @@ class RadarConstants:
 
     def __post_init__(self) -> None:
         for name in ("k_rad", "alpha_bw"):
-            if not 0.0 < getattr(self, name) <= FLOAT_MAX:
+            if not finite_positive(float, getattr(self, name)):
                 raise ValueError(f"{name} must be positive and finite")
         if not (is_integer(self.n_h_total)
                 and 1 <= self.n_h_total <= sys.maxsize):
@@ -83,8 +86,8 @@ class RadarConstants:
         if not finite_positive(db_to_linear, self.snr_cap_db):
             raise ValueError("snr_cap_db must give a positive finite "
                              "linear ratio")
-        # float(): comparing a huge int with a numpy float raises OverflowError
-        if not -FLOAT_MAX <= self.snr_floor_db < float(self.snr_cap_db):
+        if not (finite_positive(db_to_linear, self.snr_floor_db)
+                and self.snr_floor_db < float(self.snr_cap_db)):
             raise ValueError("snr_floor_db must be finite, below snr_cap_db")
 
     @property
@@ -105,10 +108,9 @@ class ControlPoint:
     n_h: int     # horizontal elements assigned to the task
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.t_d <= FLOAT_MAX:
-            raise ValueError("t_d must be positive and finite")
-        if not 0.0 < self.f_t <= FLOAT_MAX:
-            raise ValueError("f_t must be positive and finite")
+        for name in ("t_d", "f_t"):
+            if not finite_positive(float, getattr(self, name)):
+                raise ValueError(f"{name} must be positive and finite")
         if not (is_integer(self.n_h) and self.n_h >= 1):
             raise ValueError("n_h must be an integer of at least 1")
 
@@ -129,7 +131,7 @@ class Environment:
         if not -math.pi / 2.0 < self.bearing < math.pi / 2.0:
             raise ValueError("bearing must lie strictly inside (-pi/2, pi/2)")
         for name in ("rcs", "maneuver_std", "corr_time"):
-            if not 0.0 < getattr(self, name) <= FLOAT_MAX:
+            if not finite_positive(float, getattr(self, name)):
                 raise ValueError(f"{name} must be positive and finite")
 
 
@@ -141,10 +143,10 @@ class UtilityShape:
     q_max: float = 1e-3  # best rewarded angular error [rad]
 
     def __post_init__(self) -> None:
-        # Smaller error is better, so the full-reward bound sits below
-        # the zero-reward bound.
-        if not (all(0.0 < q <= FLOAT_MAX for q in (self.q_max, self.q_min))
-                and self.q_max < self.q_min):
+        # smaller error is better: the full-reward bound is the lower one
+        if not (finite_positive(float, self.q_max)
+                and finite_positive(float, self.q_min)
+                and float(self.q_max) < float(self.q_min)):
             raise ValueError("need 0 < q_max < q_min, both finite")
 
 
@@ -376,9 +378,9 @@ def _evaluate_lanes(row: tuple, t_d: np.ndarray, f_t: np.ndarray,
 class GridEvaluation:
     """evaluate() over a full control grid, as arrays.
 
-    All arrays are shaped (len(t_d), len(f_t), len(n_h)) and are views;
-    ``feasible`` and ``snr_linear`` are read-only.  Where ``feasible`` is
-    False the value arrays hold NaN; consume them through the mask.
+    All arrays are shaped (len(t_d), len(f_t), len(n_h)); ``feasible``
+    and ``snr_linear`` are read-only broadcast views.  Where ``feasible``
+    is False the value arrays hold NaN; consume them through the mask.
     """
 
     feasible: np.ndarray   # bool
@@ -406,21 +408,15 @@ def evaluate_grid(t_d: np.ndarray, f_t: np.ndarray, n_h: np.ndarray,
     t_d, f_t, n_h = (np.asarray(x, dtype=np.float64).reshape(-1)
                      for x in (t_d, f_t, n_h))
     terms = _env_terms(env)
-    raw = _raw_snr_table(t_d, n_h, terms, consts)      # (nt, nn)
+    raw = _raw_snr_table(t_d, n_h, terms, consts)[:, None, :]  # (nt, 1, nn)
     feasible = raw >= consts.snr_floor
     snr = np.minimum(raw, consts.snr_cap)
-    nt, nn = raw.shape
-    t_rows, n_rows = np.repeat(t_d, nn)[:, None], np.tile(n_h, nt)[:, None]
-    row = _row_terms(snr.reshape(-1, 1), n_rows, terms, consts, np.sqrt)
-    values = _evaluate_lanes(row, t_rows, f_t, n_rows, consts, shape)
-    for fresh in values:
-        np.copyto(fresh, np.nan, where=~feasible.reshape(-1, 1))
-    q, g, u = (v.reshape(nt, nn, -1).transpose(0, 2, 1) for v in values)
-    snr = np.where(feasible, snr, np.nan)[:, None, :]
-    return GridEvaluation(feasible=np.broadcast_to(feasible[:, None, :],
-                                                   q.shape),
-                          quality=q, resource=g, utility=u,
-                          snr_linear=np.broadcast_to(snr, q.shape))
+    row = _row_terms(snr, n_h, terms, consts, np.sqrt)
+    q, g, u = (np.where(feasible, v, np.nan) for v in _evaluate_lanes(
+        row, t_d[:, None, None], f_t[:, None], n_h, consts, shape))
+    snr = np.broadcast_to(np.where(feasible, snr, np.nan), q.shape)
+    return GridEvaluation(feasible=np.broadcast_to(feasible, q.shape),
+                          quality=q, resource=g, utility=u, snr_linear=snr)
 
 
 def _columns_to_solve(row: tuple, t_d: np.ndarray, f_t: np.ndarray,

@@ -72,11 +72,11 @@ class SceneConfig:
                 if not finite_positive(to_si, x):
                     raise ValueError(f"{name} bound {x!r} must give a "
                                      f"finite positive {unit}")
-        # every bound is finite now, so no huge int meets a numpy float here
+        # every bound passed finite_positive or lies in (-90, 90) now
         for name in ("range_interval", "bearing_interval",
                      "rcs_interval_dbsm", "weight_interval"):
             lo, hi = getattr(self, name)
-            if not lo <= hi:
+            if not float(lo) <= float(hi):
                 raise ValueError(f"{name} bounds must be ordered")
         p = self.type_probabilities
         if not (all(0.0 <= x <= 1.0 for x in p)

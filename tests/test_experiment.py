@@ -368,12 +368,20 @@ def test_csv_round_trip_reproduces_aggregate_exactly(small_result,
 def test_rewrite_with_fewer_runs_removes_stale_run_files(small_result,
                                                         tmp_path):
     write_sweep_outputs(small_result, tmp_path)
+    runs_dir = tmp_path / "runs"
+    # files named otherwise are not per-run files: not read, not removed
+    copy = (runs_dir / "run_0.csv").read_text(encoding="utf-8")
+    foreign = ["run_0_backup.csv", "run_01.csv", "run_1.csv.bak",
+               "run_notes.csv", "xrun_2.csv"]
+    for name in foreign:
+        (runs_dir / name).write_text(copy, encoding="utf-8")
+    assert len(read_runs(tmp_path)) == 3
     one_run = replace(SMALL_SWEEP, n_mc=1)
     written = write_sweep_outputs(sweep(one_run, CONSTS, SHAPE),
                                   tmp_path)
-    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
-        "run_0.csv"]
-    assert (tmp_path / "runs" / "run_0.csv") in written
+    assert sorted(p.name for p in runs_dir.iterdir()) == sorted(
+        ["run_0.csv", *foreign])
+    assert (runs_dir / "run_0.csv") in written
     assert len(read_runs(tmp_path)) == 1
 
 

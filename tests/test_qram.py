@@ -4,6 +4,7 @@ Hull examples small enough to check by hand are frozen directly;
 hypothesis covers the structural invariants on random point clouds.
 """
 
+import gc
 import hashlib
 import math
 from pathlib import Path
@@ -752,6 +753,34 @@ def test_allocate_many_matches_keyed_oracle_on_enumerated_tasks(tasks):
         [keyed_greedy_allocate(majorants, b) for b in budgets]
 
 
+def scene_majorants(seed):
+    scene = generate_scene(SceneConfig(n_targets=40, seed=seed))
+    return [build_majorant(pts) for pts in enumerate_setpoints_many(
+        [(t.environment, t.weight) for t in scene.tasks], SMALL_GRID,
+        CONSTS, SHAPE)]
+
+
+def test_allocate_gives_the_same_result_on_every_call():
+    # No state may outlive a call.  One scene's majorants are allocated
+    # at 64 budgets, in shuffled order, for three rounds; between rounds
+    # another scene's majorants are built, allocated and freed, so that
+    # their freed id()s get reused.
+    rng = np.random.default_rng(64)
+    budgets = rng.uniform(0.001, 0.12, 64).tolist()  # 5 to all 40 tracks
+    kept = scene_majorants(1)
+    first = {}
+    for round_ in range(3):
+        for b in rng.permutation(budgets).tolist():
+            got = allocate(kept, b)
+            assert got == first.setdefault(b, got)
+        other = scene_majorants(100 + round_)
+        for b in rng.permutation(budgets).tolist():
+            assert allocate(other, b) == keyed_greedy_allocate(other, b)
+        del other
+        gc.collect()
+    assert all(first[b] == keyed_greedy_allocate(kept, b) for b in budgets)
+
+
 # ---------------------------------------------------------------------------
 # brute force oracle
 
@@ -852,6 +881,27 @@ def env_with(**kwargs):
     # counts that are not integers
     lambda: ControlGrid(t_d_values=(0.02,), f_t_values=(1.0,),
                         n_h_values=(6.5, 48)),
+    # numpy float32 infinities, which a float64 bound cast to float32 let by
+    lambda: ControlPoint(t_d=np.float32(math.inf), f_t=1.0, n_h=48),
+    lambda: UtilityShape(q_min=np.float32(math.inf), q_max=np.float32(1e-3)),
+    # numeric strings, which used to fail later with a TypeError
+    lambda: ControlPoint(t_d="0.01", f_t=1.0, n_h=48),
+    lambda: ControlPoint(t_d=0.02, f_t="1", n_h=48),
+    lambda: env_with(range="60000"),
+    lambda: env_with(rcs="1"),
+    lambda: env_with(maneuver_std="10"),
+    lambda: env_with(corr_time="4"),
+    lambda: RadarConstants(k_rad="2.662e21"),
+    lambda: RadarConstants(alpha_bw="0.886"),
+    lambda: RadarConstants(snr_floor_db="10"),
+    lambda: RadarConstants(snr_cap_db="40"),
+    lambda: UtilityShape(q_min="3e-3"),
+    lambda: UtilityShape(q_max="1e-3"),
+    lambda: ControlGrid(t_d_values=("0.02",), f_t_values=(1.0,),
+                        n_h_values=(48,)),
+    lambda: ControlGrid(t_d_values=(0.02,), f_t_values=("1",),
+                        n_h_values=(48,)),
+    lambda: enumerate_setpoints(NEAR_ENV, "0.5", SMALL_GRID, CONSTS, SHAPE),
 ], ids=["cp.t_d", "cp.f_t", "cp.n_h", "env.range", "env.rcs",
         "env.maneuver_std", "env.corr_time", "consts.k_rad",
         "consts.n_h_total", "consts.alpha_bw", "consts.snr_floor_db",
@@ -863,7 +913,13 @@ def env_with(**kwargs):
         "inf-grid.t_d_values", "inf-grid.f_t_values", "int-cp.t_d",
         "int-env.rcs", "int-consts.k_rad", "int-consts.snr_floor_db",
         "int-shape.q_min", "int-grid.t_d_values", "int-enumerate.weight",
-        "count-grid.n_h_values"])
+        "count-grid.n_h_values", "f32-cp.t_d", "f32-shape.q_min",
+        "str-cp.t_d", "str-cp.f_t", "str-env.range", "str-env.rcs",
+        "str-env.maneuver_std", "str-env.corr_time", "str-consts.k_rad",
+        "str-consts.alpha_bw", "str-consts.snr_floor_db",
+        "str-consts.snr_cap_db", "str-shape.q_min", "str-shape.q_max",
+        "str-grid.t_d_values", "str-grid.f_t_values",
+        "str-enumerate.weight"])
 def test_nan_input_is_rejected(build):
     with pytest.raises(ValueError):
         build()
@@ -871,16 +927,24 @@ def test_nan_input_is_rejected(build):
 
 # Numbers that have broken a check before: ints past the float range,
 # non-finite and non-positive values, values whose bench-unit conversion
-# overflows, fractional counts, and float64 and int64 numpy scalars,
-# whose arithmetic warns (an error under this suite's warning filter)
-# where Python's raises.  numpy float32 is left out: comparing one with
-# FLOAT_MAX casts the bound to float32, which overflows to inf.
+# overflows, fractional counts, and numpy scalars of every float width
+# and of int64, whose arithmetic warns (an error under this suite's
+# warning filter) where Python's raises.  A float32 compared with a
+# float64 bound casts the bound to float32, where it overflows; a
+# longdouble can hold a finite value past the float64 range.
 ADVERSARIAL = [10**400, -10**400, math.inf, -math.inf, NAN, 0, 0.0, -0.0,
                -1, -1e-3, 6.5, 1e308, 5e-324, 2**63, np.float64(1e308),
                np.float64(NAN), np.float64(-math.inf),
-               np.int64(-2**63), np.int64(2**62), np.int64(6)]
+               np.int64(-2**63), np.int64(2**62), np.int64(6),
+               *(np.float32(x) for x in (math.inf, NAN, 3e38, 0.02, 1e400)),
+               *(np.float16(x) for x in (math.inf, NAN, 65504.0, 0.02,
+                                         1e400)),
+               *(np.longdouble(x) for x in (math.inf, NAN, 3e38, 0.02,
+                                            "1e400", "-1e400"))]
 numbers = st.one_of(st.sampled_from(ADVERSARIAL),
                     st.floats(), st.floats().map(np.float64),
+                    st.floats(width=32).map(np.float32),
+                    st.floats(width=16).map(np.float16),
                     st.integers(min_value=-2**63, max_value=2**63 - 1),
                     st.integers(min_value=-2**63,
                                 max_value=2**63 - 1).map(np.int64))

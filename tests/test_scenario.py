@@ -106,6 +106,10 @@ def test_type_probabilities_are_honored():
     dict(n_targets=3.5),
     dict(seed=1.5),
     dict(type_probabilities=(10**400, 0.5)),
+    # numeric strings, which used to fail later in generate_scene
+    dict(range_interval=("10000", "70000")),
+    dict(rcs_interval_dbsm=("-10", 10.0)),
+    dict(weight_interval=(0.2, "0.8")),
 ])
 def test_invalid_scene_configs_raise(kwargs):
     with pytest.raises(ValueError):
